@@ -562,6 +562,85 @@ void BbsParitySeeds(const fs::path& root) {
   }
 }
 
+// ---------------------------------------------------- compare_partitions
+
+/// Fields in fuzz_compare_partitions.cc's consumption order (range draws
+/// encoded as value - lo, as above).
+void ComparePartitionsSeeds(const fs::path& root) {
+  {
+    // Full 3x3 grid on a 3-level lattice: every cell held, one empty
+    // window, ties between neighbouring cells.
+    SeedBuilder b;
+    b.Raw<uint64_t>(1);  // dim = 2
+    b.Raw<uint64_t>(2);  // ppd = 3
+    b.Raw<uint64_t>(3);  // lattice = 3
+    b.Raw<uint64_t>(9);  // 9 window draws
+    for (uint64_t cell = 0; cell < 9; ++cell) {
+      b.Raw<uint64_t>(cell);
+      b.Raw<uint64_t>(cell == 4 ? 0 : 2);  // tuples (cell 4 stays empty)
+      for (uint32_t t = 0; t < (cell == 4 ? 0u : 2u); ++t) {
+        b.Raw<uint8_t>(0);  // fresh row
+        b.Raw<uint8_t>(static_cast<uint8_t>(cell + t));
+        b.Raw<uint8_t>(static_cast<uint8_t>(cell * 2 + 1));
+      }
+    }
+    WriteSeed(root, "compare_partitions", "full_grid_ties", b.bytes());
+  }
+  {
+    // 3-d grid, repeated cells merging into one window, duplicates.
+    SeedBuilder b;
+    b.Raw<uint64_t>(2);   // dim = 3
+    b.Raw<uint64_t>(3);   // ppd = 4
+    b.Raw<uint64_t>(0);   // continuous offsets
+    b.Raw<uint64_t>(12);  // 12 window draws
+    for (uint64_t w = 0; w < 12; ++w) {
+      b.Raw<uint64_t>((w * 21) % 64);  // cells 0, 21, 42, 63, 20, ...
+      b.Raw<uint64_t>(3);              // 3 tuples
+      for (uint32_t t = 0; t < 3; ++t) {
+        if (t == 2) {
+          b.Raw<uint8_t>(1);         // duplicate ...
+          b.Raw<uint64_t>(0);        // ... of the window's first row
+          continue;
+        }
+        b.Raw<uint8_t>(0);
+        for (uint32_t k = 0; k < 3; ++k) {
+          b.Raw<uint32_t>(0x2468ace1u * (w + 1) + 0x13579bdfu * (t + k));
+        }
+      }
+    }
+    WriteSeed(root, "compare_partitions", "merged_dups", b.bytes());
+  }
+  {
+    // Fine 2-d grid (1024 x 1024) with a staircase of held cells.
+    SeedBuilder b;
+    b.Raw<uint64_t>(1);     // dim = 2
+    b.Raw<uint64_t>(1023);  // ppd = 1024
+    b.Raw<uint64_t>(0);     // continuous offsets
+    b.Raw<uint64_t>(40);    // 40 window draws
+    for (uint64_t w = 0; w < 40; ++w) {
+      const uint64_t x = (w * 37) % 1024;
+      const uint64_t y = 1023 - (w * 29) % 1024;
+      b.Raw<uint64_t>(x + y * 1024);
+      b.Raw<uint64_t>(w % 3);  // 0-2 tuples
+      for (uint64_t t = 0; t < w % 3; ++t) {
+        b.Raw<uint8_t>(0);
+        b.Raw<uint32_t>(0x9e3779b9u * static_cast<uint32_t>(w + t));
+        b.Raw<uint32_t>(0x7f4a7c15u * static_cast<uint32_t>(w + 2 * t));
+      }
+    }
+    WriteSeed(root, "compare_partitions", "fine_grid", b.bytes());
+  }
+  {
+    // No windows at all.
+    SeedBuilder b;
+    b.Raw<uint64_t>(4);  // dim = 5
+    b.Raw<uint64_t>(4);  // ppd = 5
+    b.Raw<uint64_t>(0);
+    b.Raw<uint64_t>(0);  // no window draws
+    WriteSeed(root, "compare_partitions", "empty", b.bytes());
+  }
+}
+
 }  // namespace
 }  // namespace skymr::fuzz
 
@@ -578,6 +657,7 @@ int main(int argc, char** argv) {
   skymr::fuzz::DatasetCsvSeeds(root);
   skymr::fuzz::ConfigSeeds(root);
   skymr::fuzz::BbsParitySeeds(root);
+  skymr::fuzz::ComparePartitionsSeeds(root);
   std::printf("gen_seed_corpus: wrote %d seed(s) under %s\n",
               skymr::fuzz::g_written, root.c_str());
   return 0;

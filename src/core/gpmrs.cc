@@ -26,16 +26,13 @@ class GpmrsMapper : public mr::Mapper<TupleId, uint32_t, GroupPayload> {
     CellWindowMap windows =
         phase_.Finish(&ctx.counters(), &ctx.histograms());
 
-    // Line 11: generate the independent groups from the bitstring only, so
-    // every mapper derives exactly the same grouping (the consistency
-    // requirement Section 5.3 states). Merging and duplicate-output
-    // responsibility (Section 5.4) are equally bitstring-deterministic.
+    // Line 11: the independent groups depend on the bitstring only, so
+    // RunGpmrsJob generates and merges them once and broadcasts them; every
+    // mapper then ships against exactly the same grouping (the consistency
+    // requirement Section 5.3 states).
+    const std::vector<ReducerGroup>& reducer_groups = context.reducer_groups;
     SKYMR_TRACE_SPAN("gpmrs.group_assign", "reducers",
-                     context.num_reducers);
-    const std::vector<IndependentGroup> groups =
-        GenerateIndependentGroups(context.grid, context.bits);
-    const std::vector<ReducerGroup> reducer_groups = AssignGroupsToReducers(
-        context.grid, groups, context.num_reducers, context.merge);
+                     static_cast<int64_t>(reducer_groups.size()));
 
     // Lines 12-19: ship each group's local skylines to its reducer.
     for (uint32_t i = 0; i < reducer_groups.size(); ++i) {
@@ -140,13 +137,19 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
   mr::DistributedCache cache;
   SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeyDataset, data));
   auto context = std::make_shared<SkylineJobContext>(grid, bits);
-  context->merge = merge;
-  context->num_reducers = engine.num_reducers;
+  {
+    // Algorithm 7 + Section 5.4, once for the whole job.
+    SKYMR_TRACE_SPAN("gpmrs.group_generate", "reducers",
+                     engine.num_reducers);
+    context->reducer_groups = AssignGroupsToReducers(
+        grid, GenerateIndependentGroups(grid, bits), engine.num_reducers,
+        merge);
+  }
   context->constraint = constraint;
   context->local_algorithm = local_algorithm;
-  SKYMR_RETURN_IF_ERROR(cache.Put(
-      kCacheKeySkylineContext,
-      std::shared_ptr<const SkylineJobContext>(std::move(context))));
+  const std::shared_ptr<const SkylineJobContext> shared_context =
+      std::move(context);
+  SKYMR_RETURN_IF_ERROR(cache.Put(kCacheKeySkylineContext, shared_context));
 
   std::vector<TupleId> ids(data->size());
   std::iota(ids.begin(), ids.end(), 0);
@@ -165,13 +168,9 @@ StatusOr<SkylineJobRun> RunGpmrsJob(
 
   SkylineJobRun run;
   run.metrics = std::move(result.metrics);
-  // Per-reducer group load (Section 5.4.1's balancing target). The
-  // assignment is bitstring-deterministic, so recomputing it here matches
-  // exactly what every mapper shipped.
-  const std::vector<ReducerGroup> reducer_groups = AssignGroupsToReducers(
-      grid, GenerateIndependentGroups(grid, bits), engine.num_reducers,
-      merge);
-  for (const ReducerGroup& group : reducer_groups) {
+  // Per-reducer group load (Section 5.4.1's balancing target), from the
+  // same groups every mapper shipped against.
+  for (const ReducerGroup& group : shared_context->reducer_groups) {
     run.metrics.histograms.Add("skymr.reducer_group_cells",
                                group.cells.size());
     run.metrics.histograms.Add("skymr.reducer_group_cost", group.cost);

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/dynamic_bitset.h"
 #include "src/common/status.h"
@@ -104,12 +105,11 @@ inline constexpr const char* kCounterBbsAutoSfs =
 
 /// Side data broadcast to every task of a skyline job: the grid, the
 /// Equation 2 bitstring BS_R, the optional constraint box, and (for
-/// MR-GPMRS) the group policy.
+/// MR-GPMRS) the reducer groups, computed once per job.
 struct SkylineJobContext {
   Grid grid;
   DynamicBitset bits;
-  GroupMergeStrategy merge = GroupMergeStrategy::kComputationCost;
-  int num_reducers = 1;
+  std::vector<ReducerGroup> reducer_groups;
   std::optional<Box> constraint;
   LocalAlgorithm local_algorithm = LocalAlgorithm::kBnl;
 

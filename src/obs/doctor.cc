@@ -230,14 +230,21 @@ void CheckCostModel(const JsonValue& report, const DoctorOptions& options,
     const char* label;
     const char* predicted_key;
     const char* observed_key;
+    bool gpmrs_only;
   };
+  // Eq. 9 bounds the busiest MR-GPMRS reducer, which holds one merged
+  // independent group; the single GPSRS reducer holds every partition.
   const Side sides[] = {
       {"mapper", "predicted_mapper_comparisons",
-       "observed_max_mapper_comparisons"},
+       "observed_max_mapper_comparisons", false},
       {"reducer", "predicted_reducer_comparisons",
-       "observed_max_reducer_comparisons"},
+       "observed_max_reducer_comparisons", true},
   };
+  const bool gpmrs = report.GetString("algorithm", "") == "mr-gpmrs";
   for (const Side& side : sides) {
+    if (side.gpmrs_only && !gpmrs) {
+      continue;
+    }
     const double predicted = cm->GetDouble(side.predicted_key, 0.0);
     const int64_t observed = cm->GetInt(side.observed_key, 0);
     if (predicted <= 0.0 || observed < options.min_observed_comparisons) {

@@ -154,6 +154,30 @@ TEST(DoctorTest, FlagsCostModelDeviation) {
   EXPECT_NE(findings[0].message.find("mapper"), std::string::npos);
 }
 
+/// A cost_model block whose reducer side is 50x over Eq. 9 and whose
+/// mapper side is on target.
+constexpr const char* kReducerOverEq9 =
+    R"("cost_model": {
+         "predicted_mapper_comparisons": 1000.0,
+         "observed_max_mapper_comparisons": 900,
+         "predicted_reducer_comparisons": 1000.0,
+         "observed_max_reducer_comparisons": 50000})";
+
+TEST(DoctorTest, CostModelReducerSideSilentForGpsrs) {
+  // Eq. 9 bounds one GPMRS reducer's group; GPSRS's single reducer holds
+  // every partition, so exceeding it says nothing about the run.
+  EXPECT_FALSE(HasCode(Analyze(Report(kReducerOverEq9)), "cost-model"));
+}
+
+TEST(DoctorTest, CostModelReducerSideFiresForGpmrs) {
+  const std::string json = std::string(R"({"schema": "skymr-report-v1",
+      "algorithm": "mr-gpmrs", )") + kReducerOverEq9 + "}";
+  const auto findings = Analyze(json);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].code, "cost-model");
+  EXPECT_NE(findings[0].message.find("reducer"), std::string::npos);
+}
+
 TEST(DoctorTest, FlagsIneffectivePruningAsInfo) {
   const std::string json = Report(
       R"("dim": 4, "input_tuples": 100000, "ppd": 10,
