@@ -141,21 +141,29 @@ inline const Dataset& CachedDataset(data::Distribution distribution,
   return *it->second.data;
 }
 
-/// The paper's experimental configuration: 13 nodes, one mapper split per
-/// node, MR-GPMRS defaults to one reducer per node (Section 7.1).
-inline RunnerConfig PaperConfig(Algorithm algorithm, int reducers = 13) {
-  RunnerConfig config;
-  config.algorithm = algorithm;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = reducers;
-  return config;
-}
-
 /// One worker pool for the whole bench binary: every pipeline iteration
 /// reuses it instead of spawning threads per ComputeSkyline call.
 inline ThreadPool& SharedBenchPool() {
   static ThreadPool pool(ThreadPool::DefaultThreads());
   return pool;
+}
+
+/// The paper's experimental configuration: 13 nodes, one mapper split per
+/// node, MR-GPMRS defaults to one reducer per node (Section 7.1). Every
+/// pipeline is a one-shot run on the shared pool, with no session cache.
+inline SessionOptions PaperOptions(int reducers = 13) {
+  SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = reducers;
+  options.pool = &SharedBenchPool();
+  options.cache = false;
+  return options;
+}
+
+inline QuerySpec PaperQuery(Algorithm algorithm) {
+  QuerySpec spec;
+  spec.algorithm = algorithm;
+  return spec;
 }
 
 /// Artifact rows accumulated by RunAndReport across the whole binary;
@@ -198,12 +206,8 @@ using RowAnnotator =
 /// the benchmark on error, on a wrong skyline, and when the
 /// deterministic counters disagree across repetitions.
 inline void RunAndReport(benchmark::State& state, const Dataset& data,
-                         const RunnerConfig& config,
+                         const SessionOptions& options, const QuerySpec& spec,
                          const RowAnnotator& annotate = nullptr) {
-  RunnerConfig pooled = config;
-  if (pooled.pool == nullptr) {
-    pooled.pool = &SharedBenchPool();
-  }
   const int reps = obs::BenchRepsFromEnv();
   for (auto _ : state) {
     std::vector<double> wall_samples;
@@ -216,7 +220,7 @@ inline void RunAndReport(benchmark::State& state, const Dataset& data,
     double shuffle_kb = 0.0;
     double ppd = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      auto result = ComputeSkyline(data, pooled);
+      auto result = ComputeSkyline(data, options, spec);
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;

@@ -4,16 +4,16 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
-#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "src/common/thread_pool.h"
 #include "src/mapreduce/chaos.h"
+#include "src/mapreduce/counters.h"
 #include "src/obs/bench_artifact.h"
 #include "src/obs/json.h"
 #include "src/serve/session.h"
@@ -86,9 +86,21 @@ std::vector<SizeClass> ResidentServeMix() {
   return mix;
 }
 
+namespace {
+
+/// The class list a run uses: the configured mix, else the resident
+/// serve mix over a resident dataset, else the default batch mix.
+std::vector<SizeClass> ResolvedMix(const LoadConfig& config) {
+  if (!config.mix.empty()) {
+    return config.mix;
+  }
+  return config.resident != nullptr ? ResidentServeMix() : DefaultMix(1.0);
+}
+
+}  // namespace
+
 ArrivalSchedule BuildSchedule(const LoadConfig& config) {
-  const std::vector<SizeClass> mix =
-      config.mix.empty() ? DefaultMix(1.0) : config.mix;
+  const std::vector<SizeClass> mix = ResolvedMix(config);
   uint64_t total_weight = 0;
   for (const SizeClass& sc : mix) {
     total_weight += sc.weight;
@@ -141,234 +153,13 @@ StatusOr<LoadReport> RunLoad(const LoadConfig& config,
     return Status::InvalidArgument(
         "loadgen: admission_slots must be positive");
   }
-  const std::vector<SizeClass> mix =
-      config.mix.empty() ? DefaultMix(1.0) : config.mix;
-  uint64_t total_weight = 0;
-  for (const SizeClass& sc : mix) {
-    total_weight += sc.weight;
-  }
-  if (total_weight == 0) {
-    return Status::InvalidArgument("loadgen: mix weights sum to zero");
-  }
-
-  // Datasets and runner configs are built once per size class; every
-  // query of a class reuses them, so per-query work is pure compute.
-  std::vector<Dataset> datasets;
-  std::vector<RunnerConfig> runner_configs;
-  datasets.reserve(mix.size());
-  runner_configs.reserve(mix.size());
-  ThreadPool pool(config.threads > 0 ? config.threads
-                                     : ThreadPool::DefaultThreads());
-  for (size_t c = 0; c < mix.size(); ++c) {
-    const SizeClass& sc = mix[c];
-    data::GeneratorConfig gen;
-    gen.distribution = sc.distribution;
-    gen.cardinality = sc.cardinality;
-    gen.dim = sc.dim;
-    gen.seed = kDatasetSeedBase + c;
-    auto data_or = data::Generate(gen);
-    if (!data_or.ok()) {
-      return data_or.status();
-    }
-    datasets.push_back(std::move(data_or).value());
-
-    RunnerConfig rc;
-    rc.algorithm = sc.algorithm;
-    rc.engine.num_map_tasks = config.num_map_tasks;
-    rc.engine.num_reducers = config.num_reducers;
-    rc.engine.max_task_attempts = config.max_task_attempts;
-    rc.engine.chaos = config.chaos;
-    rc.engine.metrics = metrics;
-    rc.engine.log = logger;
-    rc.pool = &pool;
-    if (sc.constrained) {
-      // lint:allow(deprecated-constraint) batch mode drives the legacy shim
-      rc.constraint = Box{std::vector<double>(sc.dim, 0.0),
-                          std::vector<double>(sc.dim, 0.6)};
-    }
-    Status valid = rc.Validate();
-    if (!valid.ok()) {
-      return valid;
-    }
-    runner_configs.push_back(std::move(rc));
-  }
-
-  const ArrivalSchedule schedule = BuildSchedule(config);
-
-  LoadReport report;
-  report.schedule_hash = schedule.hash;
-  report.outcomes.resize(config.queries);
-  report.per_size_latency_us.resize(mix.size());
-
-  // Admission state. Arrived queries wait in FIFO order until one of the
-  // admission_slots frees up; each admitted query runs as one pool task
-  // (ComputeSkyline nests its own parallelism onto the same pool via
-  // work-helping, so slots bound *queries*, not threads).
-  std::mutex mu;
-  std::condition_variable all_done;
-  std::deque<int> pending;
-  int inflight = 0;
-  int completed = 0;
-  int64_t max_queue_depth = 0;
-  int64_t max_inflight = 0;
-
-  obs::MetricsRegistry::Gauge* inflight_gauge =
-      metrics != nullptr ? metrics->gauge("query.inflight") : nullptr;
-  obs::MetricsRegistry::Gauge* depth_gauge =
-      metrics != nullptr ? metrics->gauge("query.queue_depth") : nullptr;
-
-  const Clock::time_point epoch = Clock::now();
-
-  // Runs query q on the calling (pool) thread, then admits successors.
-  std::function<void(int)> run_query;
-  std::function<void()> admit_locked = [&]() {
-    while (inflight < config.admission_slots && !pending.empty()) {
-      const int q = pending.front();
-      pending.pop_front();
-      ++inflight;
-      max_inflight = std::max<int64_t>(max_inflight, inflight);
-      if (inflight_gauge != nullptr) {
-        inflight_gauge->Set(inflight);
-      }
-      if (depth_gauge != nullptr) {
-        depth_gauge->Set(static_cast<int64_t>(pending.size()));
-      }
-      pool.Submit([&run_query, q]() { run_query(q); });
-    }
-  };
-
-  run_query = [&](int q) {
-    QueryOutcome& out = report.outcomes[q];
-    out.query_id = static_cast<uint64_t>(q) + 1;
-    out.size_class = schedule.size_class[q];
-    out.scheduled_us = schedule.arrival_us[q];
-    out.dispatch_us = NowUs(epoch);
-
-    if (q == config.slow_query_index && config.slow_query_ms > 0.0) {
-      // The coordinated-omission probe: a deterministic stall occupying
-      // one admission slot. Queries scheduled behind it inherit the
-      // stall in their own (arrival-anchored) latency.
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(config.slow_query_ms));
-    }
-
-    const SizeClass& sc = mix[out.size_class];
-    RunnerConfig rc = runner_configs[out.size_class];
-    rc.engine.query.id = out.query_id;
-    rc.engine.query.deadline_ms = config.deadline_ms;
-    rc.engine.query.tag = sc.name;
-
-    auto result_or = ComputeSkyline(datasets[out.size_class], rc);
-    out.done_us = NowUs(epoch);
-    out.ok = result_or.ok();
-    if (out.ok) {
-      const SkylineResult& result = result_or.value();
-      const auto counters =
-          obs::DeterministicCounters(result, sc.cardinality);
-      const auto it = counters.find("skymr.tuple_comparisons");
-      out.comparisons = it != counters.end() ? it->second : 0;
-      out.skyline_size = static_cast<int64_t>(result.skyline.size());
-    }
-    const double latency_us = out.done_us - out.scheduled_us;
-    out.deadline_missed =
-        config.deadline_ms > 0.0 && latency_us > config.deadline_ms * 1e3;
-
-    if (metrics != nullptr) {
-      metrics->counter(out.ok ? "query.completed" : "query.errors")->Add(1);
-      if (out.deadline_missed) {
-        metrics->counter("query.deadline_missed")->Add(1);
-      }
-      metrics->sketch("query.latency_us")->Record(latency_us);
-      metrics->sketch("query.queue_wait_us")
-          ->Record(out.dispatch_us - out.scheduled_us);
-    }
-    if (logger != nullptr && out.deadline_missed) {
-      std::ostringstream msg;
-      msg << "latency " << static_cast<int64_t>(latency_us)
-          << " us over budget " << config.deadline_ms << " ms";
-      obs::Logger::Fields fields;
-      fields.query_id = out.query_id;
-      fields.tag = sc.name;
-      logger->Log(obs::LogSeverity::kWarn, "query.deadline", msg.str(),
-                  fields);
-    }
-
-    std::lock_guard<std::mutex> lock(mu);
-    --inflight;
-    if (inflight_gauge != nullptr) {
-      inflight_gauge->Set(inflight);
-    }
-    ++completed;
-    admit_locked();
-    if (completed == config.queries) {
-      all_done.notify_all();
-    }
-  };
-
-  // The open-loop dispatcher: arrivals happen at their scheduled time no
-  // matter how the system is doing — a stalled engine grows the queue, it
-  // never slows the clock.
-  for (int q = 0; q < config.queries; ++q) {
-    std::this_thread::sleep_until(
-        epoch + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::micro>(
-                        schedule.arrival_us[q])));
-    std::lock_guard<std::mutex> lock(mu);
-    pending.push_back(q);
-    max_queue_depth =
-        std::max<int64_t>(max_queue_depth, static_cast<int64_t>(pending.size()));
-    if (depth_gauge != nullptr) {
-      depth_gauge->Set(static_cast<int64_t>(pending.size()));
-    }
-    admit_locked();
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    all_done.wait(lock, [&]() { return completed == config.queries; });
-  }
-  pool.WaitIdle();
-  report.wall_seconds = NowUs(epoch) / 1e6;
-
-  // Sketches are rebuilt from the outcome table in arrival order, so the
-  // report is independent of completion interleaving.
-  for (const QueryOutcome& out : report.outcomes) {
-    const double latency_us = out.done_us - out.scheduled_us;
-    report.latency_us.Add(latency_us);
-    report.queue_wait_us.Add(out.dispatch_us - out.scheduled_us);
-    report.per_size_latency_us[out.size_class].Add(latency_us);
-    report.completed += out.ok ? 1 : 0;
-    report.errors += out.ok ? 0 : 1;
-    report.deadline_missed += out.deadline_missed ? 1 : 0;
-  }
-  report.max_queue_depth = max_queue_depth;
-  report.max_inflight = max_inflight;
-  report.log_dropped = logger != nullptr ? logger->dropped() : 0;
-  return report;
-}
-
-StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
-                                  obs::MetricsRegistry* metrics,
-                                  obs::Logger* logger) {
-  if (config.queries <= 0) {
-    return Status::InvalidArgument("loadgen: queries must be positive");
-  }
-  if (!(config.target_qps > 0.0)) {
-    return Status::InvalidArgument("loadgen: target_qps must be positive");
-  }
-  if (config.admission_slots <= 0) {
-    return Status::InvalidArgument(
-        "loadgen: admission_slots must be positive");
-  }
   if (config.small_reserved_slots < 0 ||
       config.small_reserved_slots >= config.admission_slots) {
     return Status::InvalidArgument(
         "loadgen: small_reserved_slots must leave at least one admission "
         "slot for large queries");
   }
-  const std::vector<SizeClass> mix =
-      config.mix.empty() ? (config.resident != nullptr ? ResidentServeMix()
-                                                       : DefaultMix(1.0))
-                         : config.mix;
+  const std::vector<SizeClass> mix = ResolvedMix(config);
   uint64_t total_weight = 0;
   for (const SizeClass& sc : mix) {
     total_weight += sc.weight;
@@ -385,8 +176,8 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
       {config.admission_slots, config.small_reserved_slots});
 
   // Resident mode: one session answers every class. Otherwise each class
-  // generates its own dataset (same seeds as RunLoad) behind its own
-  // session; the pool and admission controller stay shared either way.
+  // generates its own dataset behind its own session; the pool and
+  // admission controller stay shared either way.
   std::vector<Dataset> generated;
   std::vector<const Dataset*> class_data(mix.size(), config.resident);
   std::vector<size_t> class_session(mix.size(), 0);
@@ -417,7 +208,9 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
   session_options.engine.metrics = metrics;
   session_options.engine.log = logger;
   session_options.pool = &pool;
-  session_options.cache = true;
+  // Batch mode runs every query through the full pipeline; serve mode
+  // shares each fingerprint's bitstring phase across queries.
+  session_options.cache = config.serve;
   session_options.admission = &admission;
 
   std::vector<std::unique_ptr<Session>> sessions;
@@ -425,9 +218,7 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
       config.resident != nullptr ? 1 : mix.size();
   sessions.reserve(session_count);
   for (size_t s = 0; s < session_count; ++s) {
-    const Dataset& data =
-        config.resident != nullptr ? *config.resident : *class_data[s];
-    auto session_or = Session::Open(data, session_options);
+    auto session_or = Session::Open(*class_data[s], session_options);
     if (!session_or.ok()) {
       return session_or.status();
     }
@@ -453,7 +244,8 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
   // Prime the caches before the open-loop clock starts: the warmup
   // misses (one per distinct fingerprint) then happen off the clock and
   // every query of the run proper is a hit. Warmups of classes sharing a
-  // fingerprint count as hits too, so stats stay deterministic.
+  // fingerprint count as hits too, so stats stay deterministic. A no-op
+  // in batch mode, which has no cache to prime.
   if (config.warmup) {
     for (size_t c = 0; c < mix.size(); ++c) {
       Status warm = sessions[class_session[c]]->Warmup(specs[c]);
@@ -463,14 +255,9 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
     }
   }
 
-  // BuildSchedule resolves an empty mix to DefaultMix on its own; hand
-  // it the serve-resolved mix so class picks index this run's classes.
-  LoadConfig resolved = config;
-  resolved.mix = mix;
-  const ArrivalSchedule schedule = BuildSchedule(resolved);
+  const ArrivalSchedule schedule = BuildSchedule(config);
 
   LoadReport report;
-  report.serve = true;
   report.schedule_hash = schedule.hash;
   report.outcomes.resize(config.queries);
   report.per_size_latency_us.resize(mix.size());
@@ -481,7 +268,25 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
   // the pool behind its own queue. Each dispatcher sleeps to its own
   // scheduled arrival, so a stalled engine grows the admission wait, it
   // never slows the arrival clock.
+  //
+  // Dispatchers still enter the admission layer strictly in arrival
+  // order, as if one thread enqueued every arrival: a dispatcher that
+  // wakes early waits for its turn, and one that wakes late holds the
+  // queries behind it. The coordinated-omission probe
+  // (slow_query_index) keeps its place too: it takes its slot once every
+  // earlier query has finished and passes the turn on only while
+  // holding it, so every query scheduled behind it inherits the stall
+  // in its (arrival-anchored) latency once the slots saturate.
   std::vector<double> submit_begin_us(config.queries, 0.0);
+  const int straggler = config.slow_query_ms > 0.0 &&
+                                config.slow_query_index < config.queries
+                            ? config.slow_query_index
+                            : -1;
+  std::mutex order_mu;
+  std::condition_variable order_cv;
+  int next_turn = 0;
+  int finished_before_straggler = 0;
+
   const Clock::time_point epoch = Clock::now();
   std::vector<std::thread> dispatchers;
   dispatchers.reserve(config.queries);
@@ -496,42 +301,65 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
       out.size_class = schedule.size_class[q];
       out.scheduled_us = schedule.arrival_us[q];
 
-      if (q == config.slow_query_index && config.slow_query_ms > 0.0) {
-        // The coordinated-omission probe. Unlike batch mode the stall
-        // holds a dispatcher thread, not an admission slot — the queries
-        // behind it still inherit the delay through their own
-        // arrival-anchored latency once slots saturate.
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            config.slow_query_ms));
-      }
-
       const SizeClass& sc = mix[out.size_class];
       QuerySpec spec = specs[out.size_class];
       spec.query.id = out.query_id;
       spec.query.deadline_ms = config.deadline_ms;
       spec.query.tag = sc.name;
 
-      const double begin_us = NowUs(epoch);
-      submit_begin_us[q] = begin_us;
+      submit_begin_us[q] = NowUs(epoch);
+      {
+        std::unique_lock<std::mutex> lock(order_mu);
+        order_cv.wait(lock, [&] {
+          return next_turn == q &&
+                 (q != straggler || finished_before_straggler == straggler);
+        });
+      }
+      const bool small = sc.lane == AdmissionClass::kSmall;
+      double stall_begin_us = 0.0;
+      if (q == straggler) {
+        admission.Acquire(small);
+        stall_begin_us = NowUs(epoch);
+      }
+      {
+        std::lock_guard<std::mutex> lock(order_mu);
+        ++next_turn;
+      }
+      order_cv.notify_all();
+      if (q == straggler) {
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            config.slow_query_ms));
+        admission.Release(small);
+      }
+      const double submit_us = NowUs(epoch);
       SubmitInfo info;
       auto result_or =
           sessions[class_session[out.size_class]]->Submit(spec, &info);
       out.done_us = NowUs(epoch);
-      out.dispatch_us = begin_us + info.queue_wait_seconds * 1e6;
+      // Dispatch is the first time the query held a slot: for the
+      // straggler that is the start of its stall.
+      out.dispatch_us = q == straggler
+                            ? stall_begin_us
+                            : submit_us + 1e6 * info.queue_wait_seconds;
+      if (q < straggler) {
+        {
+          std::lock_guard<std::mutex> lock(order_mu);
+          ++finished_before_straggler;
+        }
+        order_cv.notify_all();
+      }
       out.ok = result_or.ok();
       out.cache_hit = info.cache_hit;
       if (out.ok) {
         const SkylineResult& result = result_or.value();
         out.jobs = static_cast<int64_t>(result.jobs.size());
         out.skyline_size = static_cast<int64_t>(result.skyline.size());
-        // Skyline-phase comparisons only (the last job): a query's count
-        // must not depend on whether it happened to lead the cache's
-        // single-flight — per-class sums stay deterministic even when
-        // classes share a fingerprint and race for the miss.
+        // Skyline-phase comparisons only (the last job; the bitstring
+        // job counts none): a query's count must not depend on whether
+        // it happened to lead the cache's single-flight.
         if (!result.jobs.empty()) {
-          const auto& values = result.jobs.back().counters.values();
-          const auto it = values.find("skymr.tuple_comparisons");
-          out.comparisons = it != values.end() ? it->second : 0;
+          out.comparisons =
+              result.jobs.back().counters.Get(mr::kCounterTupleComparisons);
         }
       }
       const double latency_us = out.done_us - out.scheduled_us;
@@ -565,6 +393,8 @@ StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
   pool.WaitIdle();
   report.wall_seconds = NowUs(epoch) / 1e6;
 
+  // Sketches are rebuilt from the outcome table in arrival order, so the
+  // report is independent of completion interleaving.
   for (const QueryOutcome& out : report.outcomes) {
     const double latency_us = out.done_us - out.scheduled_us;
     report.latency_us.Add(latency_us);
@@ -708,10 +538,7 @@ void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
                        std::ostream& os) {
   // Must resolve the empty-mix default exactly as the run did, or the
   // per-size rows would be read against the wrong class list.
-  const std::vector<SizeClass> mix =
-      !config.mix.empty() ? config.mix
-      : report.serve && config.resident != nullptr ? ResidentServeMix()
-                                                   : DefaultMix(1.0);
+  const std::vector<SizeClass> mix = ResolvedMix(config);
   obs::JsonWriter w(os);
   w.BeginObject();
   w.Key("schema");
@@ -742,8 +569,8 @@ void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
   w.Key("slow_query_ms");
   w.Double(config.slow_query_ms);
   w.Key("mode");
-  w.String(report.serve ? "serve" : "batch");
-  if (report.serve) {
+  w.String(config.serve ? "serve" : "batch");
+  if (config.serve) {
     w.Key("small_reserved_slots");
     w.Int(config.small_reserved_slots);
     w.Key("warmup");
@@ -780,7 +607,7 @@ void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
   w.Int(report.max_inflight);
   w.Key("log_dropped");
   w.Int(report.log_dropped);
-  if (report.serve) {
+  if (config.serve) {
     w.Key("session_cache_hits");
     w.Int(report.session_cache_hits);
     w.Key("session_cache_misses");
@@ -828,7 +655,7 @@ void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
     for (size_t c = 0; c < mix.size(); ++c) {
       d["comparisons"] += size_comparisons[c];
     }
-    if (report.serve) {
+    if (config.serve) {
       // Serve-only keys stay out of batch artifacts: bench_diff compares
       // the key-union of deterministic sections, so adding them
       // unconditionally would break every committed batch baseline.
@@ -843,7 +670,7 @@ void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,
   for (size_t c = 0; c < mix.size(); ++c) {
     std::map<std::string, double> m;
     m["latency_p99_us"] = report.per_size_latency_us[c].Quantile(0.99);
-    if (report.serve) {
+    if (config.serve) {
       // Informational (metrics are never hard-gated): without warmup the
       // class that wins a shared fingerprint's single-flight race eats
       // the miss, so the split is timing-dependent.

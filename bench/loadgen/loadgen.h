@@ -1,6 +1,12 @@
 // Open-loop workload driver for query-level observability: the traffic
 // harness a resident skyline server would face, run against the
-// in-process engine.
+// in-process engine through serve/session.h Sessions.
+//
+// One harness, two modes (LoadConfig::serve). Both run every size class
+// behind a Session on one shared ThreadPool and one two-lane
+// AdmissionController. Batch mode turns the session cache off, so every
+// query runs the full pipeline; serve mode turns it on, so queries with
+// the same bitstring fingerprint share one bitstring phase.
 //
 // Open-loop means arrivals are scheduled ahead of time from a seeded
 // Poisson process at the configured QPS and never wait for the system:
@@ -38,9 +44,9 @@ namespace skymr::loadgen {
 
 /// One query flavour in the traffic mix: a dataset shape plus the
 /// algorithm/variant answering it. Weighted random assignment per query.
-/// In serve mode over a resident dataset (LoadConfig::resident) the
-/// dataset-shape fields are ignored — classes differ only by
-/// algorithm/constraint/lane, all answered by one Session.
+/// Over a resident dataset (LoadConfig::resident) the dataset-shape
+/// fields are ignored — classes differ only by algorithm/constraint/lane,
+/// all answered by one Session.
 struct SizeClass {
   std::string name;
   size_t cardinality = 1000;
@@ -51,8 +57,8 @@ struct SizeClass {
   bool constrained = false;
   /// Relative weight in the mix (0 drops the class).
   uint32_t weight = 1;
-  /// Admission lane in serve mode (two-lane slot layer; kAuto
-  /// classifies by the session dataset's cardinality).
+  /// Admission lane (two-lane slot layer; kAuto classifies by the
+  /// session dataset's cardinality).
   AdmissionClass lane = AdmissionClass::kAuto;
 };
 
@@ -76,14 +82,15 @@ struct LoadConfig {
   /// Total queries in the schedule.
   int queries = 48;
   /// Admission: queries running concurrently; arrivals beyond this wait
-  /// in FIFO order (query.queue_depth gauge).
+  /// in the shared AdmissionController.
   int admission_slots = 2;
   /// Worker threads of the shared ThreadPool all queries run on
   /// (0 = hardware concurrency).
   int threads = 0;
   /// Latency budget per query; > 0 counts query.deadline_missed.
   double deadline_ms = 0.0;
-  /// The traffic mix (empty = DefaultMix(1.0)).
+  /// The traffic mix (empty = ResidentServeMix() over a resident
+  /// dataset, else DefaultMix(1.0)).
   std::vector<SizeClass> mix;
   /// Fault injection applied to every query's engine (storm profile +
   /// max_task_attempts=1 makes queries fail permanently, firing the
@@ -91,23 +98,26 @@ struct LoadConfig {
   mr::ChaosSchedule chaos;
   int max_task_attempts = 1;
   /// Deterministic stall injected into query index `slow_query_index`
-  /// (0-based arrival order) after dispatch: the coordinated-omission
-  /// probe. Queries scheduled behind it must show the stall in their
-  /// own latency.
+  /// (0-based arrival order) before it is submitted, holding one
+  /// admission slot: the coordinated-omission probe. Queries scheduled
+  /// behind it must show the stall in their own latency.
   int slow_query_index = -1;
   double slow_query_ms = 0.0;
   /// Map tasks per query job (small jobs; keep the default modest).
   int num_map_tasks = 4;
   int num_reducers = 2;
-  /// ---- Serve mode (RunServeLoad) ----
-  /// Resident dataset shared by every size class; when null each class
-  /// generates its own dataset exactly like batch mode (one Session per
-  /// class instead of one shared Session). Must outlive the run.
+  /// Serve mode: the in-session bitstring cache is on (false = batch
+  /// mode, every query runs the full pipeline). Recorded as the
+  /// artifact's config.mode.
+  bool serve = false;
+  /// Resident dataset shared by every size class (one Session); when
+  /// null each class generates its own dataset behind its own Session.
+  /// Must outlive the run.
   const Dataset* resident = nullptr;
   /// Admission slots large queries may not occupy (two-lane layer).
   int small_reserved_slots = 0;
   /// Prime the session cache(s) before the open-loop clock starts, so
-  /// even the first arrival of each fingerprint is a hit.
+  /// even the first arrival of each fingerprint is a hit (serve mode).
   bool warmup = false;
 };
 
@@ -120,12 +130,13 @@ struct QueryOutcome {
   double done_us = 0.0;        // completion offset
   bool ok = false;
   bool deadline_missed = false;
-  /// Deterministic per-query signal: skymr.tuple_comparisons summed over
-  /// the query's jobs, and the skyline cardinality.
+  /// Deterministic per-query signal: skymr.tuple_comparisons of the
+  /// query's last (skyline) job — the bitstring job counts none — and
+  /// the skyline cardinality.
   int64_t comparisons = 0;
   int64_t skyline_size = 0;
-  /// Serve mode: jobs the query ran (grid cache hits run 1, misses 2)
-  /// and whether its bitstring phase came from the session cache.
+  /// Jobs the query ran (grid cache hits run 1, misses 2) and whether
+  /// its bitstring phase came from the session cache.
   int64_t jobs = 0;
   bool cache_hit = false;
 };
@@ -147,11 +158,9 @@ struct LoadReport {
   double wall_seconds = 0.0;
   /// Logger drop count at the end of the run (mr.log_dropped).
   int64_t log_dropped = 0;
-  /// ---- Serve mode ----
-  bool serve = false;
-  /// Session cache traffic summed over every session of the run, and
-  /// the bitstring jobs that actually executed. Deterministic for a
-  /// fixed config: single-flight guarantees exactly one miss per
+  /// Serve mode: session cache traffic summed over every session of the
+  /// run, and the bitstring jobs that actually executed. Deterministic
+  /// for a fixed config: single-flight guarantees exactly one miss per
   /// distinct fingerprint no matter how queries interleave.
   int64_t session_cache_hits = 0;
   int64_t session_cache_misses = 0;
@@ -159,7 +168,8 @@ struct LoadReport {
 };
 
 /// The precomputed open-loop schedule: arrival offsets (us, ascending)
-/// and size-class assignment per query, plus the mix fingerprint. Pure
+/// and size-class assignment per query (indexes into the mix the run
+/// resolves; see LoadConfig::mix), plus the mix fingerprint. Pure
 /// function of (seed, qps, queries, mix weights).
 struct ArrivalSchedule {
   std::vector<double> arrival_us;
@@ -168,25 +178,20 @@ struct ArrivalSchedule {
 };
 ArrivalSchedule BuildSchedule(const LoadConfig& config);
 
-/// Runs the workload. `metrics` (optional) receives the query.* gauges/
-/// counters/sketches live; `logger` (optional) receives per-query
-/// structured events and is handed to every query's engine — configure
-/// its crash_dump_path to get flight-recorder dumps on chaos faults.
+/// Runs the workload: one Session over config.resident (or one per
+/// size class when it is null), all sharing one ThreadPool and one
+/// two-lane AdmissionController, with the bitstring cache on in serve
+/// mode and off in batch mode. Each arrival dispatches on its own
+/// thread — Session::Submit blocks for admission, and pool threads must
+/// stay free to run the admitted queries' map/reduce tasks.
+/// `metrics` (optional) receives the query.* counters/sketches live
+/// (and, through the engine, mr.session_*); `logger` (optional)
+/// receives per-query structured events and is handed to every query's
+/// engine — configure its crash_dump_path to get flight-recorder dumps
+/// on chaos faults.
 StatusOr<LoadReport> RunLoad(const LoadConfig& config,
                              obs::MetricsRegistry* metrics,
                              obs::Logger* logger);
-
-/// Runs the workload through resident serve::Sessions instead of
-/// one-shot ComputeSkyline calls: one Session over config.resident (or
-/// one per size class when it is null), all sharing one ThreadPool and
-/// one two-lane AdmissionController, with the cross-query bitstring
-/// cache on. Each arrival dispatches on its own thread — Session::Submit
-/// blocks for admission, and pool threads must stay free to run the
-/// admitted queries' map/reduce tasks. Same open-loop clock and
-/// CO-safe latency accounting as RunLoad.
-StatusOr<LoadReport> RunServeLoad(const LoadConfig& config,
-                                  obs::MetricsRegistry* metrics,
-                                  obs::Logger* logger);
 
 /// Writes the skymr-load-v1 artifact (see DESIGN.md §16 for the layout).
 void WriteLoadArtifact(const LoadConfig& config, const LoadReport& report,

@@ -8,11 +8,11 @@
 //                 [--out=FILE] [--log-out=FILE] [--crash-dump=FILE]
 //                 [--log-level=debug|info|warn|error]
 //
-// --serve drives the traffic through resident serve::Sessions (one per
-// size class here; `skymr_cli serve` is the single-resident-dataset
-// server) with the cross-query bitstring cache and the two-lane
-// admission layer (--small-reserved) on; --warmup primes the caches
-// before the open-loop clock starts.
+// Every size class runs behind its own serve::Session (`skymr_cli serve`
+// is the single-resident-dataset server), all sharing one pool and one
+// two-lane admission layer (--slots, --small-reserved). --serve turns
+// the cross-query bitstring cache on; --warmup primes the caches before
+// the open-loop clock starts.
 //
 // Runs the seeded arrival schedule against the in-process engine and
 // writes the skymr-load-v1 artifact (--out; validated by
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   config.slow_query_index = static_cast<int>(args.GetInt("slow-query", -1));
   config.slow_query_ms = args.GetDouble("slow-ms", 0.0);
   config.max_task_attempts = static_cast<int>(args.GetInt("attempts", 1));
-  const bool serve = args.Has("serve");
+  config.serve = args.Has("serve");
   config.small_reserved_slots =
       static_cast<int>(args.GetInt("small-reserved", 0));
   config.warmup = args.Has("warmup");
@@ -168,9 +168,7 @@ int main(int argc, char** argv) {
     logger.AddSink(log_sink.get());
   }
 
-  auto report_or = serve
-                       ? skymr::loadgen::RunServeLoad(config, &metrics, &logger)
-                       : skymr::loadgen::RunLoad(config, &metrics, &logger);
+  auto report_or = skymr::loadgen::RunLoad(config, &metrics, &logger);
   if (!report_or.ok()) {
     std::fprintf(stderr, "%s\n", report_or.status().ToString().c_str());
     return 1;
@@ -205,7 +203,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(report.max_queue_depth),
       static_cast<long long>(report.max_inflight),
       static_cast<long long>(report.log_dropped));
-  if (report.serve) {
+  if (config.serve) {
     std::printf(
         "session cache: %lld hits, %lld misses, %lld bitstring jobs\n",
         static_cast<long long>(report.session_cache_hits),

@@ -37,6 +37,10 @@ int main() {
 
   std::printf("%-10s %10s %12s %12s %10s %9s\n", "algorithm", "skyline",
               "modeled[s]", "shuffle[KB]", "reducers", "exact");
+  // 13 mappers and 13 reducers, mirroring the paper's 13-node cluster.
+  skymr::SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = 13;
   const skymr::Algorithm algorithms[] = {
       skymr::Algorithm::kMrGpsrs,
       skymr::Algorithm::kMrGpmrs,
@@ -45,11 +49,9 @@ int main() {
       skymr::Algorithm::kSkyMr,
   };
   for (const skymr::Algorithm algorithm : algorithms) {
-    skymr::RunnerConfig config;
-    config.algorithm = algorithm;
-    config.engine.num_map_tasks = 13;
-    config.engine.num_reducers = 13;
-    auto result = skymr::ComputeSkyline(instruments, config);
+    skymr::QuerySpec spec;
+    spec.algorithm = algorithm;
+    auto result = skymr::ComputeSkyline(instruments, options, spec);
     if (!result.ok()) {
       std::fprintf(stderr, "%s failed: %s\n",
                    skymr::AlgorithmName(algorithm),
@@ -75,11 +77,9 @@ int main() {
   }
 
   // Show the "efficient frontier" extremes from one run.
-  skymr::RunnerConfig config;
-  config.algorithm = skymr::Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = 13;
-  auto result = skymr::ComputeSkyline(instruments, config);
+  skymr::QuerySpec spec;
+  spec.algorithm = skymr::Algorithm::kMrGpmrs;
+  auto result = skymr::ComputeSkyline(instruments, options, spec);
   if (!result.ok()) {
     return 1;
   }

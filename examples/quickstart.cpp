@@ -17,17 +17,19 @@ int main() {
   std::printf("dataset: %zu tuples, %zu dimensions (anti-correlated)\n",
               data.size(), data.dim());
 
-  // 2. Configure the run: 13 mappers and 13 reducers, mirroring the
-  //    paper's 13-node Hadoop cluster; grid resolution picked by the
-  //    Section 3.3 PPD heuristic.
-  skymr::RunnerConfig config;
-  config.algorithm = skymr::Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 13;
-  config.engine.num_reducers = 13;
+  // 2. Configure the run. The session options hold what depends on the
+  //    dataset: 13 mappers and 13 reducers, mirroring the paper's 13-node
+  //    Hadoop cluster, and a grid resolution picked by the Section 3.3
+  //    PPD heuristic. The query spec picks the algorithm.
+  skymr::SessionOptions options;
+  options.engine.num_map_tasks = 13;
+  options.engine.num_reducers = 13;
+  skymr::QuerySpec spec;
+  spec.algorithm = skymr::Algorithm::kMrGpmrs;
 
   // 3. Run the two-job pipeline: bitstring generation, then the skyline
   //    job.
-  auto result = skymr::ComputeSkyline(data, config);
+  auto result = skymr::ComputeSkyline(data, options, spec);
   if (!result.ok()) {
     std::fprintf(stderr, "skyline computation failed: %s\n",
                  result.status().ToString().c_str());

@@ -386,30 +386,31 @@ void AppendChaos(SeedBuilder* b, uint64_t crash_rate_bits) {
   b->Text("chaosjob");                // fail_job (8 bytes)
 }
 
-/// Remaining RunnerConfig fields in ConsumeRawConfig order.
+/// Remaining config fields in ConsumeRawConfig order, which interleaves
+/// the two halves: QuerySpec (spec.) and SessionOptions (options.).
 void AppendRawConfig(SeedBuilder* b, uint64_t wave_fraction_bits) {
-  b->Raw<uint8_t>(1);                 // algorithm
-  b->Raw<int32_t>(4);                 // num_map_tasks
-  b->Raw<int32_t>(2);                 // num_reducers
-  b->Raw<int16_t>(1);                 // num_threads
-  b->Raw<int32_t>(4);                 // max_task_attempts
-  b->Double(1.0);                     // retry_backoff_base_ms
-  b->Double(32.0);                    // retry_backoff_max_ms
-  b->Raw<int16_t>(4);                 // num_workers
-  b->Raw<int32_t>(3);                 // worker_blacklist_threshold
-  b->Raw<uint8_t>(1);                 // speculative_execution
-  b->DoubleBits(wave_fraction_bits);  // speculation_wave_fraction
-  b->Double(2.0);                     // speculation_slowdown
-  b->Double(2.0);                     // speculation_poll_ms
-  AppendChaos(b, 0);                  // engine.chaos (crash_rate 0)
-  b->Raw<uint32_t>(4);                // ppd.explicit_ppd
-  b->Raw<uint8_t>(1);                 // ppd.strategy
-  b->Double(512.0);                   // ppd.target_tpp
-  b->Raw<uint32_t>(8);                // ppd.max_candidate
-  b->Raw<uint64_t>(1 << 20);          // ppd.max_cells
-  b->Raw<uint8_t>(0);                 // prune_mode
-  b->Raw<uint8_t>(1);                 // merge
-  b->Raw<uint8_t>(0);                 // local_algorithm
+  b->Raw<uint8_t>(1);                 // spec.algorithm
+  b->Raw<int32_t>(4);                 // options.engine.num_map_tasks
+  b->Raw<int32_t>(2);                 // options.engine.num_reducers
+  b->Raw<int16_t>(1);                 // options.engine.num_threads
+  b->Raw<int32_t>(4);                 // options.engine.max_task_attempts
+  b->Double(1.0);                     // ...retry_backoff_base_ms
+  b->Double(32.0);                    // ...retry_backoff_max_ms
+  b->Raw<int16_t>(4);                 // ...num_workers
+  b->Raw<int32_t>(3);                 // ...worker_blacklist_threshold
+  b->Raw<uint8_t>(1);                 // ...speculative_execution
+  b->DoubleBits(wave_fraction_bits);  // ...speculation_wave_fraction
+  b->Double(2.0);                     // ...speculation_slowdown
+  b->Double(2.0);                     // ...speculation_poll_ms
+  AppendChaos(b, 0);                  // options.engine.chaos (rate 0)
+  b->Raw<uint32_t>(4);                // options.ppd.explicit_ppd
+  b->Raw<uint8_t>(1);                 // options.ppd.strategy
+  b->Double(512.0);                   // options.ppd.target_tpp
+  b->Raw<uint32_t>(8);                // options.ppd.max_candidate
+  b->Raw<uint64_t>(1 << 20);          // options.ppd.max_cells
+  b->Raw<uint8_t>(0);                 // options.prune_mode
+  b->Raw<uint8_t>(1);                 // spec.merge
+  b->Raw<uint8_t>(0);                 // spec.local_algorithm
 }
 
 void ConfigSeeds(const fs::path& root) {

@@ -1,14 +1,13 @@
-// The per-query half of the session API split (DESIGN.md §17).
+// The per-query half of the session API (DESIGN.md §17).
 //
-// RunnerConfig conflates two scopes: state that is fixed for the
+// A skyline computation has two scopes: state that is fixed for the
 // lifetime of a resident dataset (grid policy, bounds choice, engine
 // sizing, the worker pool, caches — SessionOptions in serve/session.h)
 // and parameters that change per request. QuerySpec is the per-request
 // half: which skyline job to run, the mapper-side kernel, the
 // constraint box, and the query's identity/deadline/tag. A Session
-// answers many QuerySpecs over one dataset; ComputeSkyline survives as
-// a one-shot shim that splits a RunnerConfig into the two halves
-// (SplitRunnerConfig in serve/session.h).
+// answers many QuerySpecs over one dataset; ComputeSkyline
+// (serve/session.h) answers one.
 
 #ifndef SKYMR_SERVE_QUERY_SPEC_H_
 #define SKYMR_SERVE_QUERY_SPEC_H_
@@ -30,12 +29,12 @@ enum class AdmissionClass {
   kLarge,  // may not occupy the reserved slots
 };
 
-/// Everything one query brings to a resident session. Defaults mirror
-/// RunnerConfig, so a default QuerySpec asks the same question a default
-/// RunnerConfig always did.
+/// Everything one query brings to a resident session.
 struct QuerySpec {
   Algorithm algorithm = Algorithm::kMrGpmrs;
-  /// Mapper-side local skyline algorithm (see RunnerConfig).
+  /// Mapper-side local skyline algorithm (kBnl is the paper's
+  /// InsertTuple; kSfs and the R-tree kBbs realize the Section 8
+  /// future-work optimization; kAuto picks kBbs vs kSfs per partition).
   core::LocalAlgorithm local_algorithm = core::LocalAlgorithm::kBnl;
   /// MR-GPMRS group merging policy (Section 5.4.1).
   core::GroupMergeStrategy merge =
@@ -50,8 +49,10 @@ struct QuerySpec {
   /// only the tuples inside this box. Changes the bitstring fingerprint,
   /// so constrained and unconstrained queries never share a cache entry.
   std::optional<Box> constraint;
-  /// Graceful degradation to the GPSRS single-reducer merge when a
-  /// GPMRS merge fails permanently (see RunnerConfig).
+  /// Graceful degradation: when a GPMRS (or hybrid-resolved GPMRS) run
+  /// fails permanently, retry the skyline phase as a GPSRS
+  /// single-reducer merge instead of surfacing the error. The result is
+  /// flagged `degraded` and counted under mr.degraded_to_gpsrs.
   bool degrade_to_single_reducer = true;
   /// Query identity: stable id, latency budget, free-form tag. Threaded
   /// through the engine so logs/traces/metrics correlate per query.

@@ -599,33 +599,14 @@ SessionStats Session::stats() const {
   return snapshot;
 }
 
-SplitConfig SplitRunnerConfig(const RunnerConfig& config) {
-  SplitConfig split;
-  split.session.engine = config.engine;
-  split.session.ppd = config.ppd;
-  split.session.prune_mode = config.prune_mode;
-  split.session.cluster = config.cluster;
-  split.session.unit_bounds = config.unit_bounds;
-  split.session.pool = config.pool;
-  split.session.checkpoint = config.checkpoint;
-  // One-shot shim semantics: a single-query session has nothing to
-  // share, so the in-session cache and admission queueing are off and
-  // only the external checkpoint participates.
-  split.session.cache = false;
-  split.session.admission_slots = 0;
-  split.session.small_reserved_slots = 0;
-
-  split.query.algorithm = config.algorithm;
-  split.query.local_algorithm = config.local_algorithm;
-  split.query.merge = config.merge;
-  split.query.hybrid = config.hybrid;
-  split.query.angle_partitions = config.angle_partitions;
-  split.query.skymr = config.skymr;
-  // lint:allow(deprecated-constraint) the shim maps the old field
-  split.query.constraint = config.constraint;
-  split.query.degrade_to_single_reducer = config.degrade_to_single_reducer;
-  split.query.query = config.engine.query;
-  return split;
+StatusOr<SkylineResult> ComputeSkyline(const Dataset& data,
+                                       const SessionOptions& options,
+                                       const QuerySpec& spec) {
+  auto session_or = Session::Open(data, options);
+  if (!session_or.ok()) {
+    return session_or.status();
+  }
+  return (*session_or)->Submit(spec);
 }
 
 }  // namespace skymr

@@ -26,9 +26,9 @@
 //    fingerprint regardless of timing). Counted in SessionStats and,
 //    when a MetricsRegistry is attached, mr.session_* (§13.5).
 //
-//  * The pipeline — the same job sequence ComputeSkyline always ran;
-//    ComputeSkyline itself is now a thin shim over a single-query
-//    session (SplitRunnerConfig), so results are bit-identical.
+//  * The pipeline — the bitstring job (or its cached/checkpointed
+//    phase), then the chosen skyline job. ComputeSkyline at the bottom
+//    of this header is Open + one Submit.
 //
 // Thread-safety: Submit may be called from any number of threads. The
 // dataset must outlive the session; borrowed pointers in SessionOptions
@@ -225,15 +225,15 @@ class Session {
   SessionStats stats_;
 };
 
-/// A RunnerConfig split into its two halves. The shim disables the
-/// in-session cache and admission queueing (a one-query session has
-/// nothing to share), so ComputeSkyline behaves exactly as it always
-/// did — including the external-checkpoint resume path.
-struct SplitConfig {
-  SessionOptions session;
-  QuerySpec query;
-};
-SplitConfig SplitRunnerConfig(const RunnerConfig& config);
+/// One-shot entry point: opens a session over `data` and submits one
+/// query. The dataset must outlive the call. Never throws: invalid
+/// options or specs come back as InvalidArgument, permanent task
+/// failures as Internal. No later query can reuse the session's cache,
+/// so one-shot callers may set options.cache = false to skip keeping
+/// a copy of the bitstring phase.
+StatusOr<SkylineResult> ComputeSkyline(const Dataset& data,
+                                       const SessionOptions& options,
+                                       const QuerySpec& spec);
 
 }  // namespace skymr
 

@@ -7,22 +7,25 @@
 //   #include "src/skymr.h"
 //
 //   skymr::Dataset data = skymr::data::GenerateAntiCorrelated(100000, 6, 1);
-//   skymr::RunnerConfig config;
-//   config.algorithm = skymr::Algorithm::kMrGpmrs;
-//   config.engine.num_map_tasks = 13;
-//   config.engine.num_reducers = 13;
-//   auto result = skymr::ComputeSkyline(data, config);
+//   skymr::SessionOptions options;         // dataset-scoped
+//   options.engine.num_map_tasks = 13;
+//   options.engine.num_reducers = 13;
+//   skymr::QuerySpec spec;                 // per query
+//   spec.algorithm = skymr::Algorithm::kMrGpmrs;
+//   auto result = skymr::ComputeSkyline(data, options, spec);
 //   if (result.ok()) {
 //     // result->skyline holds the tuples; result->modeled_seconds the
 //     // modeled 13-node cluster runtime.
 //   }
 //
+// Many queries over one dataset open a Session instead and Submit each
+// QuerySpec; ComputeSkyline is Session::Open plus one Submit.
+//
 // This header exposes the supported public surface only:
 //
 //   * Dataset / generators / CSV IO       (relation/, data/)
-//   * RunnerConfig, Algorithm, ComputeSkyline, PipelineCheckpoint
-//   * Session / SessionOptions / QuerySpec (serve/: the resident
-//     query-server API; ComputeSkyline is a one-query shim over it)
+//   * Session / SessionOptions / QuerySpec / ComputeSkyline (serve/),
+//     Algorithm, SkylineResult, PipelineCheckpoint
 //   * ChaosSchedule / ChaosProfile        (deterministic fault injection)
 //   * skyline verification                (relation/skyline_verify.h)
 //   * report / trace / doctor writers     (obs/)
@@ -45,14 +48,15 @@
 #include "src/relation/dominance.h"
 #include "src/relation/skyline_verify.h"
 
-// The pipeline: configuration, the one entry point, phase checkpointing,
-// and deterministic fault injection (RunnerConfig::engine.chaos).
+// The pipeline: algorithms and results, phase checkpointing, and
+// deterministic fault injection (SessionOptions::engine.chaos).
 #include "src/core/checkpoint.h"
 #include "src/core/runner.h"
 #include "src/mapreduce/chaos.h"
 
-// The serving layer: a dataset-resident Session answering concurrent
-// QuerySpecs with admission control and cross-query bitstring caching.
+// The entry points: a dataset-resident Session answering concurrent
+// QuerySpecs with admission control and cross-query bitstring caching,
+// and the one-shot ComputeSkyline over it.
 #include "src/serve/query_spec.h"
 #include "src/serve/session.h"
 

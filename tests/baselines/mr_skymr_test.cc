@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
+#include "src/serve/session.h"
 
 namespace skymr::baselines {
 namespace {
@@ -89,10 +89,11 @@ TEST(MrSkyMrTest, EmptyDataset) {
 
 TEST(MrSkyMrTest, RunnerIntegration) {
   const Dataset data = data::GenerateAntiCorrelated(1500, 3, 79);
-  RunnerConfig config;
-  config.algorithm = Algorithm::kSkyMr;
-  config.engine.num_map_tasks = 4;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kSkyMr;
+  options.engine.num_map_tasks = 4;
+  auto result = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->jobs.size(), 1u);
   EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "");
@@ -110,11 +111,11 @@ TEST(MrSkyMrTest, ConstrainedQuery) {
   Box box;
   box.lo = {0.2, 0.2};
   box.hi = {0.8, 0.8};
-  RunnerConfig config;
-  config.algorithm = Algorithm::kSkyMr;
-  // lint:allow(deprecated-constraint) pins the legacy shim surface
-  config.constraint = box;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kSkyMr;
+  spec.constraint = box;
+  auto result = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(SameIdSet(result->SkylineIds(), {1, 2}));
 }

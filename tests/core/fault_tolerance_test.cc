@@ -13,6 +13,7 @@
 #include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/relation/skyline_verify.h"
+#include "src/serve/session.h"
 
 namespace skymr {
 namespace {
@@ -26,22 +27,27 @@ Dataset TestData() {
   return std::move(data::Generate(gen)).value();
 }
 
-RunnerConfig BaseConfig(Algorithm algorithm) {
-  RunnerConfig config;
-  config.algorithm = algorithm;
-  config.engine.num_map_tasks = 4;
-  config.engine.num_reducers = 4;
-  config.engine.retry_backoff_base_ms = 0.0;  // Keep tests fast.
-  config.ppd.max_candidate = 8;
-  return config;
+SessionOptions BaseOptions() {
+  SessionOptions options;
+  options.engine.num_map_tasks = 4;
+  options.engine.num_reducers = 4;
+  options.engine.retry_backoff_base_ms = 0.0;  // Keep tests fast.
+  options.ppd.max_candidate = 8;
+  return options;
 }
 
-RunnerConfig ChaosConfig(Algorithm algorithm, uint64_t seed) {
-  RunnerConfig config = BaseConfig(algorithm);
-  config.engine.max_task_attempts = 8;
-  config.engine.chaos.seed = seed;
-  config.engine.chaos.crash_rate = 0.2;
-  return config;
+SessionOptions ChaosOptions(uint64_t seed) {
+  SessionOptions options = BaseOptions();
+  options.engine.max_task_attempts = 8;
+  options.engine.chaos.seed = seed;
+  options.engine.chaos.crash_rate = 0.2;
+  return options;
+}
+
+QuerySpec Spec(Algorithm algorithm) {
+  QuerySpec spec;
+  spec.algorithm = algorithm;
+  return spec;
 }
 
 // ---------------------------------------------------------------------
@@ -53,14 +59,15 @@ class ChaosAlgorithmProperty : public ::testing::TestWithParam<Algorithm> {};
 TEST_P(ChaosAlgorithmProperty, ExactAndBitIdenticalUnderCrashChaos) {
   const Algorithm algorithm = GetParam();
   const Dataset data = TestData();
-  const RunnerConfig config = ChaosConfig(algorithm, 1234);
+  const SessionOptions options = ChaosOptions(1234);
+  const QuerySpec spec = Spec(algorithm);
 
-  auto first = ComputeSkyline(data, config);
+  auto first = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, first->SkylineIds()), "")
       << AlgorithmName(algorithm);
 
-  auto second = ComputeSkyline(data, config);
+  auto second = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(first->SkylineIds(), second->SkylineIds());
 
@@ -99,15 +106,16 @@ class ChaosBbsProperty : public ::testing::TestWithParam<Algorithm> {};
 TEST_P(ChaosBbsProperty, ExactAndBitIdenticalUnderCrashChaos) {
   const Algorithm algorithm = GetParam();
   const Dataset data = TestData();
-  RunnerConfig config = ChaosConfig(algorithm, 4321);
-  config.local_algorithm = core::LocalAlgorithm::kBbs;
+  const SessionOptions options = ChaosOptions(4321);
+  QuerySpec spec = Spec(algorithm);
+  spec.local_algorithm = core::LocalAlgorithm::kBbs;
 
-  auto first = ComputeSkyline(data, config);
+  auto first = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(ExplainSkylineMismatch(data, first->SkylineIds()), "")
       << AlgorithmName(algorithm);
 
-  auto second = ComputeSkyline(data, config);
+  auto second = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(first->SkylineIds(), second->SkylineIds());
 
@@ -147,11 +155,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChaosBbsProperty,
 
 TEST(FaultToleranceTest, PoisonedGpmrsDegradesToEquivalentGpsrs) {
   const Dataset data = TestData();
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.max_task_attempts = 2;
-  config.engine.chaos.fail_job = "mr-gpmrs";  // Every GPMRS attempt dies.
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.engine.max_task_attempts = 2;
+  options.engine.chaos.fail_job = "mr-gpmrs";  // Every GPMRS attempt dies.
 
-  auto degraded = ComputeSkyline(data, config);
+  auto degraded = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(degraded.ok()) << degraded.status();
   EXPECT_TRUE(degraded->degraded);
   EXPECT_EQ(degraded->algorithm_used, Algorithm::kMrGpsrs);
@@ -163,19 +172,21 @@ TEST(FaultToleranceTest, PoisonedGpmrsDegradesToEquivalentGpsrs) {
   EXPECT_EQ(degraded->jobs.back().counters.Get("mr.degraded_to_gpsrs"), 1);
 
   // Same answer as an undisturbed GPSRS run.
-  auto reference = ComputeSkyline(data, BaseConfig(Algorithm::kMrGpsrs));
+  auto reference = ComputeSkyline(data, BaseOptions(),
+                                  Spec(Algorithm::kMrGpsrs));
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(degraded->SkylineIds(), reference->SkylineIds());
 }
 
 TEST(FaultToleranceTest, DegradationCanBeDisabled) {
   const Dataset data = TestData();
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.max_task_attempts = 2;
-  config.engine.chaos.fail_job = "mr-gpmrs";
-  config.degrade_to_single_reducer = false;
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.engine.max_task_attempts = 2;
+  options.engine.chaos.fail_job = "mr-gpmrs";
+  spec.degrade_to_single_reducer = false;
 
-  auto result = ComputeSkyline(data, config);
+  auto result = ComputeSkyline(data, options, spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
 }
@@ -187,16 +198,17 @@ TEST(FaultToleranceTest, DegradationCanBeDisabled) {
 TEST(FaultToleranceTest, CheckpointSkipsBitstringPhaseOnResume) {
   const Dataset data = TestData();
   core::PipelineCheckpoint checkpoint;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &checkpoint;
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.checkpoint = &checkpoint;
 
-  auto first = ComputeSkyline(data, config);
+  auto first = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_FALSE(first->resumed_from_checkpoint);
   EXPECT_EQ(checkpoint.size(), 1u);
   EXPECT_EQ(first->jobs.size(), 2u);  // Bitstring job + skyline job.
 
-  auto second = ComputeSkyline(data, config);
+  auto second = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_TRUE(second->resumed_from_checkpoint);
   EXPECT_EQ(second->jobs.size(), 1u);  // Bitstring job skipped.
@@ -207,13 +219,14 @@ TEST(FaultToleranceTest, CheckpointSkipsBitstringPhaseOnResume) {
 TEST(FaultToleranceTest, CheckpointMissesOnDifferentConfiguration) {
   const Dataset data = TestData();
   core::PipelineCheckpoint checkpoint;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &checkpoint;
-  ASSERT_TRUE(ComputeSkyline(data, config).ok());
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.checkpoint = &checkpoint;
+  ASSERT_TRUE(ComputeSkyline(data, options, spec).ok());
 
   // A different grid policy must not resume from the stored phase.
-  config.ppd.explicit_ppd = 3;
-  auto other = ComputeSkyline(data, config);
+  options.ppd.explicit_ppd = 3;
+  auto other = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(other.ok()) << other.status();
   EXPECT_FALSE(other->resumed_from_checkpoint);
   EXPECT_EQ(checkpoint.size(), 2u);
@@ -227,17 +240,18 @@ TEST(FaultToleranceTest, CheckpointFileRoundTrip) {
   std::remove(path.c_str());
 
   core::PipelineCheckpoint writer;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &writer;
-  auto first = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.checkpoint = &writer;
+  auto first = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(writer.SaveFile(path).ok());
 
   core::PipelineCheckpoint reader;
   ASSERT_TRUE(reader.LoadFile(path).ok());
   EXPECT_EQ(reader.size(), writer.size());
-  config.checkpoint = &reader;
-  auto resumed = ComputeSkyline(data, config);
+  options.checkpoint = &reader;
+  auto resumed = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_TRUE(resumed->resumed_from_checkpoint);
   EXPECT_EQ(first->SkylineIds(), resumed->SkylineIds());
@@ -250,9 +264,10 @@ TEST(FaultToleranceTest, CheckpointCorruptionRejectedAndStoreUnchanged) {
   // IoError and leave the loading store untouched.
   const Dataset data = TestData();
   core::PipelineCheckpoint writer;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &writer;
-  ASSERT_TRUE(ComputeSkyline(data, config).ok());
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.checkpoint = &writer;
+  ASSERT_TRUE(ComputeSkyline(data, options, spec).ok());
   ASSERT_GT(writer.size(), 0u);
   const std::vector<uint8_t> saved = writer.SaveBytes();
 
@@ -296,9 +311,10 @@ TEST(FaultToleranceTest, CorruptCheckpointFileFallsBackToFreshRun) {
   std::remove(path.c_str());
 
   core::PipelineCheckpoint writer;
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.checkpoint = &writer;
-  auto first = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.checkpoint = &writer;
+  auto first = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(writer.SaveFile(path).ok());
 
@@ -317,8 +333,8 @@ TEST(FaultToleranceTest, CorruptCheckpointFileFallsBackToFreshRun) {
 
   // Fresh-run fallback: the (empty) store is still a valid checkpoint
   // sink, and the result matches the first run exactly.
-  config.checkpoint = &reader;
-  auto fresh = ComputeSkyline(data, config);
+  options.checkpoint = &reader;
+  auto fresh = ComputeSkyline(data, options, spec);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_FALSE(fresh->resumed_from_checkpoint);
   EXPECT_EQ(fresh->SkylineIds(), first->SkylineIds());
@@ -348,41 +364,44 @@ TEST(FaultToleranceTest, CheckpointLoadToleratesMissingRejectsMalformed) {
 TEST(FaultToleranceTest, InvalidConfigurationsReturnStatusNotThrow) {
   const Dataset data = TestData();
 
-  RunnerConfig config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.num_reducers = 0;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options = BaseOptions();
+  QuerySpec spec = Spec(Algorithm::kMrGpmrs);
+  options.engine.num_reducers = 0;
+  auto result = ComputeSkyline(data, options, spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.ppd.explicit_ppd = 1;  // A 1-cell-per-dimension grid cannot prune.
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.ppd.explicit_ppd = 1;  // A 1-cell-per-dimension grid cannot prune.
+  result = ComputeSkyline(data, options, spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.chaos.crash_rate = 1.0;  // Can never terminate.
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.engine.chaos.crash_rate = 1.0;  // Can never terminate.
+  result = ComputeSkyline(data, options, spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.max_task_attempts = 2;
-  config.engine.chaos.crash_until_attempt = 2;  // Exhausts the budget.
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.engine.max_task_attempts = 2;
+  options.engine.chaos.crash_until_attempt = 2;  // Exhausts the budget.
+  result = ComputeSkyline(data, options, spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 
-  config = BaseConfig(Algorithm::kMrGpmrs);
-  config.engine.speculation_wave_fraction = 2.0;
-  result = ComputeSkyline(data, config);
+  options = BaseOptions();
+  options.engine.speculation_wave_fraction = 2.0;
+  result = ComputeSkyline(data, options, spec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultToleranceTest, ValidateAcceptsTheDefaultConfig) {
-  EXPECT_TRUE(RunnerConfig{}.Validate().ok());
-  EXPECT_TRUE(BaseConfig(Algorithm::kMrGpmrs).Validate().ok());
+  EXPECT_TRUE(SessionOptions{}.Validate().ok());
+  EXPECT_TRUE(QuerySpec{}.Validate().ok());
+  EXPECT_TRUE(BaseOptions().Validate().ok());
+  EXPECT_TRUE(Spec(Algorithm::kMrGpmrs).Validate().ok());
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/obs/json_parse.h"
+#include "src/serve/session.h"
 
 namespace skymr::obs {
 namespace {
@@ -54,12 +54,13 @@ SkylineResult SmallRun() {
   gen.dim = 3;
   gen.seed = 17;
   const Dataset data = std::move(data::Generate(gen)).value();
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 2;
-  config.ppd.max_candidate = 8;
-  auto result = ComputeSkyline(data, config);
+  SessionOptions options;
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 2;
+  options.ppd.max_candidate = 8;
+  auto result = ComputeSkyline(data, options, spec);
   EXPECT_TRUE(result.ok()) << result.status();
   return std::move(result).value();
 }

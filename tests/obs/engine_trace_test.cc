@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/runner.h"
 #include "src/data/generator.h"
 #include "src/obs/trace.h"
+#include "src/serve/session.h"
 
 namespace skymr::obs {
 namespace {
@@ -49,16 +49,17 @@ TEST(EngineTraceTest, ChainedJobsNestUnderThePipelineSpan) {
   gen.seed = 99;
   const Dataset data = std::move(data::Generate(gen)).value();
 
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpmrs;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 2;
-  config.ppd.max_candidate = 8;
+  SessionOptions options;
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kMrGpmrs;
+  options.engine.num_map_tasks = 3;
+  options.engine.num_reducers = 2;
+  options.ppd.max_candidate = 8;
 
   StopTracing();
   ClearTrace();
   StartTracing();
-  auto result = ComputeSkyline(data, config);
+  auto result = ComputeSkyline(data, options, spec);
   StopTracing();
   ASSERT_TRUE(result.ok()) << result.status();
   const std::vector<TraceEventView> events = SnapshotTrace();
@@ -140,15 +141,16 @@ TEST(EngineTraceTest, GpsrsMergeSpanAppearsForSingleReducerRun) {
   gen.dim = 3;
   gen.seed = 5;
   const Dataset data = std::move(data::Generate(gen)).value();
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.engine.num_map_tasks = 2;
-  config.ppd.max_candidate = 8;
+  SessionOptions options;
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kMrGpsrs;
+  options.engine.num_map_tasks = 2;
+  options.ppd.max_candidate = 8;
 
   StopTracing();
   ClearTrace();
   StartTracing();
-  auto result = ComputeSkyline(data, config);
+  auto result = ComputeSkyline(data, options, spec);
   StopTracing();
   ASSERT_TRUE(result.ok()) << result.status();
   const std::vector<TraceEventView> events = SnapshotTrace();

@@ -1,5 +1,5 @@
 // Session API tests (DESIGN.md §17): a resident skymr::Session must
-// answer QuerySpecs bit-identically to the one-shot ComputeSkyline shim,
+// answer QuerySpecs bit-identically to a fresh one-shot ComputeSkyline,
 // share the bitstring phase across queries via the fingerprint-keyed
 // cache (single-flight under concurrency), respect the two-lane
 // admission bounds, and never serve a stale phase when the dataset or
@@ -42,20 +42,6 @@ SessionOptions BaseOptions() {
   return options;
 }
 
-/// The RunnerConfig equivalent of BaseOptions() + a QuerySpec, for
-/// parity checks against the legacy one-shot entry point.
-RunnerConfig LegacyConfig(const QuerySpec& spec) {
-  RunnerConfig config;
-  config.algorithm = spec.algorithm;
-  config.local_algorithm = spec.local_algorithm;
-  // lint:allow(deprecated-constraint) parity test drives the legacy shim
-  config.constraint = spec.constraint;
-  config.engine.num_map_tasks = 3;
-  config.engine.num_reducers = 3;
-  config.ppd.max_candidate = 6;
-  return config;
-}
-
 std::vector<TupleId> SortedIds(const SkylineResult& result) {
   std::vector<TupleId> ids = result.SkylineIds();
   std::sort(ids.begin(), ids.end());
@@ -90,20 +76,20 @@ std::vector<QuerySpec> MixedSpecs(uint32_t dim) {
 }
 
 // ---------------------------------------------------------------------
-// Parity with the one-shot shim
+// Parity with the one-shot entry point
 // ---------------------------------------------------------------------
 
 TEST(SessionTest, CacheDisabledSubmitMatchesComputeSkylineExactly) {
   const Dataset data = MakeData(1500, 3, 71);
   SessionOptions options = BaseOptions();
-  options.cache = false;  // full pipeline per query, like the shim
+  options.cache = false;  // full pipeline per query, like a one-shot run
   auto session = Session::Open(data, options);
   ASSERT_TRUE(session.ok()) << session.status();
 
   for (const QuerySpec& spec : MixedSpecs(data.dim())) {
     auto served = (*session)->Submit(spec);
     ASSERT_TRUE(served.ok()) << served.status();
-    auto direct = ComputeSkyline(data, LegacyConfig(spec));
+    auto direct = ComputeSkyline(data, BaseOptions(), spec);
     ASSERT_TRUE(direct.ok()) << direct.status();
     // Bit-identical down to every deterministic counter, not just ids.
     EXPECT_EQ(SortedIds(*served), SortedIds(*direct));
@@ -124,7 +110,7 @@ TEST(SessionTest, CachedSessionAnswersMixBitIdenticalToIndependentRuns) {
     SubmitInfo info;
     auto served = (*session)->Submit(spec, &info);
     ASSERT_TRUE(served.ok()) << served.status();
-    auto direct = ComputeSkyline(data, LegacyConfig(spec));
+    auto direct = ComputeSkyline(data, BaseOptions(), spec);
     ASSERT_TRUE(direct.ok()) << direct.status();
     EXPECT_EQ(SortedIds(*served), SortedIds(*direct));
     EXPECT_EQ(served->skyline.size(), direct->skyline.size());
@@ -403,7 +389,7 @@ TEST(SessionTest, ReservedSlotsExcludeLargeQueries) {
 }
 
 // ---------------------------------------------------------------------
-// Options validation and the config split
+// Options and spec validation
 // ---------------------------------------------------------------------
 
 TEST(SessionTest, OpenRejectsInvalidOptions) {
@@ -442,24 +428,21 @@ TEST(SessionTest, SubmitRejectsInvalidQuerySpec) {
   EXPECT_EQ((*session)->stats().errors, 1);
 }
 
-TEST(SessionTest, SplitRunnerConfigDisablesSharedStateForOneShot) {
-  RunnerConfig config;
-  config.algorithm = Algorithm::kMrGpsrs;
-  config.local_algorithm = core::LocalAlgorithm::kSfs;
-  config.unit_bounds = false;
-  // lint:allow(deprecated-constraint) exercises the legacy field mapping
-  config.constraint = MiddleBox(3);
-  config.engine.num_reducers = 7;
+TEST(SessionTest, OneShotComputeSkylineValidatesBothHalves) {
+  const Dataset data = MakeData(300, 2, 84);
 
-  const SplitConfig split = SplitRunnerConfig(config);
-  EXPECT_FALSE(split.session.cache);
-  EXPECT_EQ(split.session.admission_slots, 0);
-  EXPECT_FALSE(split.session.unit_bounds);
-  EXPECT_EQ(split.session.engine.num_reducers, 7);
-  EXPECT_EQ(split.query.algorithm, Algorithm::kMrGpsrs);
-  EXPECT_EQ(split.query.local_algorithm, core::LocalAlgorithm::kSfs);
-  ASSERT_TRUE(split.query.constraint.has_value());
-  EXPECT_EQ(split.query.constraint->hi[0], 0.6);
+  SessionOptions bad_options = BaseOptions();
+  bad_options.engine.num_reducers = 0;
+  auto bad_session = ComputeSkyline(data, bad_options, QuerySpec{});
+  ASSERT_FALSE(bad_session.ok());
+  EXPECT_EQ(bad_session.status().code(), StatusCode::kInvalidArgument);
+
+  QuerySpec bad_spec;
+  bad_spec.algorithm = Algorithm::kMrAngle;
+  bad_spec.angle_partitions = 0;
+  auto bad_query = ComputeSkyline(data, BaseOptions(), bad_spec);
+  ASSERT_FALSE(bad_query.ok());
+  EXPECT_EQ(bad_query.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

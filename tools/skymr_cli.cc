@@ -267,31 +267,34 @@ int ApplyEngineFlags(const Args& args, skymr::mr::EngineOptions* engine) {
   return 0;
 }
 
-/// Builds the RunnerConfig shared by `skyline` and `stats` from flags.
+/// Builds the session options and query spec shared by `skyline` and
+/// `stats` from flags: one query per invocation, so no session cache.
 /// Returns 0, or the exit code on a flag error.
-int BuildRunnerConfig(const Args& args, const skymr::Dataset& data,
-                      skymr::RunnerConfig* config) {
+int BuildSkylineQuery(const Args& args, const skymr::Dataset& data,
+                      skymr::SessionOptions* options,
+                      skymr::QuerySpec* spec) {
   auto algorithm =
       skymr::ParseAlgorithm(args.GetString("algorithm", "mr-gpmrs"));
   if (!algorithm.ok()) {
     std::fprintf(stderr, "%s\n", algorithm.status().ToString().c_str());
     return 1;
   }
-  config->algorithm = algorithm.value();
+  spec->algorithm = algorithm.value();
   auto local = skymr::core::ParseLocalAlgorithm(
       args.GetString("local-algorithm", "bnl"));
   if (!local.ok()) {
     std::fprintf(stderr, "%s\n", local.status().ToString().c_str());
     return 1;
   }
-  config->local_algorithm = local.value();
-  config->engine.num_map_tasks =
+  spec->local_algorithm = local.value();
+  options->cache = false;
+  options->engine.num_map_tasks =
       static_cast<int>(args.GetInt("mappers", 13));
-  config->engine.num_reducers =
+  options->engine.num_reducers =
       static_cast<int>(args.GetInt("reducers", 13));
-  config->ppd.explicit_ppd = static_cast<uint32_t>(args.GetInt("ppd", 0));
-  config->unit_bounds = !args.Has("data-bounds");
-  if (const int code = ApplyEngineFlags(args, &config->engine); code != 0) {
+  options->ppd.explicit_ppd = static_cast<uint32_t>(args.GetInt("ppd", 0));
+  options->unit_bounds = !args.Has("data-bounds");
+  if (const int code = ApplyEngineFlags(args, &options->engine); code != 0) {
     return code;
   }
   if (args.Has("constraint")) {
@@ -304,8 +307,7 @@ int BuildRunnerConfig(const Args& args, const skymr::Dataset& data,
                    data.dim());
       return 2;
     }
-    // lint:allow(deprecated-constraint) --constraint maps onto the legacy field
-    config->constraint = box;
+    spec->constraint = box;
   }
   return 0;
 }
@@ -423,8 +425,10 @@ int RunSkyline(const Args& args) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  skymr::RunnerConfig config;
-  if (const int code = BuildRunnerConfig(args, *data, &config); code != 0) {
+  skymr::SessionOptions options;
+  skymr::QuerySpec spec;
+  if (const int code = BuildSkylineQuery(args, *data, &options, &spec);
+      code != 0) {
     return code;
   }
 
@@ -438,12 +442,12 @@ int RunSkyline(const Args& args) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    config.checkpoint = &checkpoint;
+    options.checkpoint = &checkpoint;
   }
 
   OutputSinks sinks(args, /*always_trace=*/false);
-  config.engine.metrics = sinks.metrics();
-  auto result = skymr::ComputeSkyline(*data, config);
+  options.engine.metrics = sinks.metrics();
+  auto result = skymr::ComputeSkyline(*data, options, spec);
   sinks.StopCollecting();
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -466,14 +470,13 @@ int RunSkyline(const Args& args) {
   }
   if (const int code = sinks.WriteResultSinks(
           *data, *result,
-          /*include_fault_injection=*/config.engine.chaos.enabled(),
+          /*include_fault_injection=*/options.engine.chaos.enabled(),
           "skymr_cli_skyline");
       code != 0) {
     return code;
   }
 
-  // lint:allow(deprecated-constraint) reads the legacy field set above
-  if (args.Has("verify") && !config.constraint.has_value()) {
+  if (args.Has("verify") && !spec.constraint.has_value()) {
     const std::string mismatch =
         skymr::ExplainSkylineMismatch(*data, result->SkylineIds());
     std::printf("verify:    %s\n",
@@ -505,8 +508,10 @@ int RunStats(const Args& args) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  skymr::RunnerConfig config;
-  if (const int code = BuildRunnerConfig(args, *data, &config); code != 0) {
+  skymr::SessionOptions options;
+  skymr::QuerySpec spec;
+  if (const int code = BuildSkylineQuery(args, *data, &options, &spec);
+      code != 0) {
     return code;
   }
 
@@ -514,8 +519,8 @@ int RunStats(const Args& args) {
   // for --trace-out and costs little at CLI scales. --metrics-out hooks
   // the sinks' live registry + sampler into the engine.
   OutputSinks sinks(args, /*always_trace=*/true);
-  config.engine.metrics = sinks.metrics();
-  auto result = skymr::ComputeSkyline(*data, config);
+  options.engine.metrics = sinks.metrics();
+  auto result = skymr::ComputeSkyline(*data, options, spec);
   sinks.StopCollecting();
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -530,7 +535,7 @@ int RunStats(const Args& args) {
   }
   return sinks.WriteResultSinks(
       *data, *result,
-      /*include_fault_injection=*/config.engine.chaos.enabled(),
+      /*include_fault_injection=*/options.engine.chaos.enabled(),
       "skymr_cli_stats");
 }
 
@@ -549,18 +554,20 @@ int RunCompare(const Args& args) {
        {skymr::Algorithm::kMrGpsrs, skymr::Algorithm::kMrGpmrs,
         skymr::Algorithm::kMrBnl, skymr::Algorithm::kMrAngle,
         skymr::Algorithm::kHybrid, skymr::Algorithm::kSkyMr}) {
-    skymr::RunnerConfig config;
-    config.algorithm = algorithm;
-    config.pool = &pool;
-    config.engine.metrics = sinks.metrics();
-    config.engine.num_map_tasks =
+    skymr::SessionOptions options;
+    options.cache = false;
+    options.pool = &pool;
+    options.engine.metrics = sinks.metrics();
+    options.engine.num_map_tasks =
         static_cast<int>(args.GetInt("mappers", 13));
-    config.engine.num_reducers =
+    options.engine.num_reducers =
         static_cast<int>(args.GetInt("reducers", 13));
-    if (const int code = ApplyEngineFlags(args, &config.engine); code != 0) {
+    if (const int code = ApplyEngineFlags(args, &options.engine); code != 0) {
       return code;
     }
-    auto result = skymr::ComputeSkyline(*data, config);
+    skymr::QuerySpec spec;
+    spec.algorithm = algorithm;
+    auto result = skymr::ComputeSkyline(*data, options, spec);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", skymr::AlgorithmName(algorithm),
                    result.status().ToString().c_str());
@@ -607,6 +614,7 @@ int RunServe(const Args& args) {
   config.num_map_tasks = static_cast<int>(args.GetInt("mappers", 4));
   config.num_reducers = static_cast<int>(args.GetInt("reducers", 2));
   config.warmup = args.Has("warmup");
+  config.serve = true;
   config.resident = &*data;
   config.mix = skymr::loadgen::ResidentServeMix();
   {
@@ -620,8 +628,7 @@ int RunServe(const Args& args) {
   }
 
   OutputSinks sinks(args, /*always_trace=*/false);
-  auto report_or =
-      skymr::loadgen::RunServeLoad(config, sinks.metrics(), nullptr);
+  auto report_or = skymr::loadgen::RunLoad(config, sinks.metrics(), nullptr);
   sinks.StopCollecting();
   if (!report_or.ok()) {
     std::fprintf(stderr, "%s\n", report_or.status().ToString().c_str());
