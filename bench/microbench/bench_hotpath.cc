@@ -19,6 +19,12 @@
 //                     thread attached — reporting the overhead fraction
 //                     (the ISSUE-8 gate: < 2%, measured like the
 //                     tracing-on/off comparison)
+//   reduce_merge_compare
+//                     the MR-GPSRS reducer's work on 10^5 * scale
+//                     anti-correlated 6-d tuples (8 mapper splits, PPD 2):
+//                     MergeParts + CompareAllPartitions serially vs on a
+//                     3-thread pool (DESIGN.md §19); both must leave the
+//                     same windows and counts
 //
 // Speedups are computed from best-of-`reps` wall time; every benchmark
 // validates its result against the reference before reporting. The
@@ -37,6 +43,10 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
+#include "src/core/compare_partitions.h"
+#include "src/core/grid.h"
+#include "src/core/messages.h"
 #include "src/data/generator.h"
 #include "src/local/skyline_window.h"
 #include "src/mapreduce/job.h"
@@ -422,6 +432,92 @@ MetricsOverheadResult BenchMetricsOverhead(double scale, int reps) {
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Benchmark 5: the single reducer's merge + ComparePartitions, serial vs
+// fanned out over a pool.
+// ---------------------------------------------------------------------
+struct ReduceResult {
+  size_t tuples = 0;
+  uint64_t pairs = 0;
+  uint64_t tuple_tests = 0;
+  uint64_t survivors = 0;
+  std::vector<double> pooled_samples;
+  double serial_seconds = 0.0;
+  double pooled_seconds = 0.0;
+  double speedup = 0.0;
+};
+
+ReduceResult BenchReduceMergeCompare(double scale, int reps) {
+  ReduceResult out;
+  out.tuples = EnvScaledTuples(100000, scale);
+  const size_t dim = 6;
+  const size_t mappers = 8;
+  data::GeneratorConfig config;
+  config.distribution = data::Distribution::kAntiCorrelated;
+  config.cardinality = out.tuples;
+  config.dim = dim;
+  config.seed = 20140324;
+  const Dataset data = std::move(data::Generate(config)).value();
+  const core::Grid grid =
+      std::move(core::Grid::Create(dim, 2, Bounds::UnitCube(dim))).value();
+
+  // What the mappers ship: per split, per-cell local skylines with the
+  // map-side ComparePartitions applied, one part per cell.
+  std::vector<std::vector<core::PartitionSkyline>> sets(mappers);
+  for (size_t m = 0; m < mappers; ++m) {
+    core::CellWindowMap windows;
+    for (size_t i = out.tuples * m / mappers;
+         i < out.tuples * (m + 1) / mappers; ++i) {
+      const auto id = static_cast<TupleId>(i);
+      auto [it, inserted] =
+          windows.try_emplace(grid.CellOf(data.RowPtr(id)), SkylineWindow(dim));
+      it->second.Insert(data.RowPtr(id), id, nullptr);
+    }
+    core::CompareAllPartitions(grid, &windows, nullptr);
+    for (auto& [cell, window] : windows) {
+      sets[m].push_back({cell, std::move(window)});
+    }
+  }
+
+  struct Reduced {
+    core::CellWindowMap windows;
+    uint64_t pairs = 0;
+    uint64_t tests = 0;
+  };
+  const auto reduce = [&](ThreadPool* pool) {
+    Reduced r;
+    DominanceCounter tests;
+    for (const auto& parts : sets) {
+      core::MergeParts(parts, dim, &r.windows, &tests, pool);
+    }
+    r.pairs = core::CompareAllPartitions(grid, &r.windows, &tests, pool);
+    r.tests = tests.count();
+    return r;
+  };
+
+  Reduced serial;
+  out.serial_seconds =
+      BestOf(RepSeconds(reps, [&] { serial = reduce(nullptr); }));
+  ThreadPool pool(3);
+  Reduced pooled;
+  out.pooled_samples = RepSeconds(reps, [&] { pooled = reduce(&pool); });
+  out.pooled_seconds = BestOf(out.pooled_samples);
+
+  if (pooled.windows != serial.windows || pooled.pairs != serial.pairs ||
+      pooled.tests != serial.tests) {
+    std::fprintf(stderr, "reduce_merge_compare: pooled/serial differ\n");
+    std::exit(1);
+  }
+  out.pairs = serial.pairs;
+  out.tuple_tests = serial.tests;
+  for (const auto& [cell, window] : serial.windows) {
+    out.survivors += window.size();
+  }
+  g_sink = out.survivors;
+  out.speedup = out.serial_seconds / out.pooled_seconds;
+  return out;
+}
+
 int Run(int argc, char** argv) {
   std::string out_path = "BENCH_hotpath.json";
   double scale = 1.0;
@@ -465,6 +561,12 @@ int Run(int argc, char** argv) {
                "  %+.2f%% vs metrics-off (%llu sampler snapshots)\n",
                metrics.overhead_fraction * 100.0,
                static_cast<unsigned long long>(metrics.samples_taken));
+
+  std::fprintf(stderr, "reduce_merge_compare...\n");
+  const ReduceResult reduce = BenchReduceMergeCompare(scale, reps);
+  std::fprintf(stderr, "  %.2fx on a 3-thread pool (%zu tuples -> %llu)\n",
+               reduce.speedup, reduce.tuples,
+               static_cast<unsigned long long>(reduce.survivors));
 
   obs::BenchArtifact artifact("bench_hotpath");
   artifact.environment().reps = reps;
@@ -525,6 +627,23 @@ int Run(int argc, char** argv) {
     row.metrics["sampler_samples"] =
         static_cast<double>(metrics.samples_taken);
     row.deterministic["records"] = static_cast<int64_t>(metrics.records);
+    artifact.AddRow(std::move(row));
+  }
+
+  {
+    obs::BenchRow row;
+    row.name = "reduce_merge_compare";
+    row.wall = obs::WallStats::FromSamples(reduce.pooled_samples);
+    row.metrics["scale"] = scale;
+    row.metrics["serial_seconds"] = reduce.serial_seconds;
+    row.metrics["pooled_seconds"] = reduce.pooled_seconds;
+    row.metrics["pool_threads"] = 3;
+    row.metrics["speedup_vs_serial"] = reduce.speedup;
+    row.deterministic["tuples"] = static_cast<int64_t>(reduce.tuples);
+    row.deterministic["partition_pairs"] = static_cast<int64_t>(reduce.pairs);
+    row.deterministic["tuple_tests"] =
+        static_cast<int64_t>(reduce.tuple_tests);
+    row.deterministic["survivors"] = static_cast<int64_t>(reduce.survivors);
     artifact.AddRow(std::move(row));
   }
 

@@ -7,7 +7,8 @@
 // empty, exact duplicates, and an optional coarse value lattice forcing
 // ties. The prefix-bitset enumeration must return the reference's pair
 // count and dominance-test total and leave every window with the
-// reference's id sequence. Any divergence aborts.
+// reference's id sequence, both serially and in level order on a
+// 2-thread pool. Any divergence aborts.
 //
 // Field consumption order is load-bearing: fuzz/gen_seed_corpus.cc
 // writes seed inputs by appending fields in exactly the order consumed
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "fuzz/fuzz_common.h"
+#include "src/common/thread_pool.h"
 #include "src/core/compare_partitions.h"
 #include "tests/core/compare_partitions_reference.h"
 
@@ -79,20 +81,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   skymr::core::CellWindowMap expected = windows;
   skymr::DominanceCounter expected_tests;
-  skymr::DominanceCounter actual_tests;
   const uint64_t expected_pairs = skymr::core::ReferenceCompareAllPartitions(
       *grid, &expected, &expected_tests);
-  const uint64_t actual_pairs =
-      skymr::core::CompareAllPartitions(*grid, &windows, &actual_tests);
 
-  SKYMR_FUZZ_ASSERT(actual_pairs == expected_pairs);
-  SKYMR_FUZZ_ASSERT(actual_tests.count() == expected_tests.count());
-  SKYMR_FUZZ_ASSERT(windows.size() == expected.size());
-  for (auto a = windows.begin(), e = expected.begin(); a != windows.end();
-       ++a, ++e) {
-    SKYMR_FUZZ_ASSERT(a->first == e->first);
-    SKYMR_FUZZ_ASSERT(a->second.ids() == e->second.ids());
-    SKYMR_FUZZ_ASSERT(a->second == e->second);
+  static skymr::ThreadPool pool(2);
+  for (skymr::ThreadPool* with : {static_cast<skymr::ThreadPool*>(nullptr),
+                                  &pool}) {
+    skymr::core::CellWindowMap actual = windows;
+    skymr::DominanceCounter actual_tests;
+    const uint64_t actual_pairs = skymr::core::CompareAllPartitions(
+        *grid, &actual, &actual_tests, with);
+
+    SKYMR_FUZZ_ASSERT(actual_pairs == expected_pairs);
+    SKYMR_FUZZ_ASSERT(actual_tests.count() == expected_tests.count());
+    SKYMR_FUZZ_ASSERT(actual.size() == expected.size());
+    for (auto a = actual.begin(), e = expected.begin(); a != actual.end();
+         ++a, ++e) {
+      SKYMR_FUZZ_ASSERT(a->first == e->first);
+      SKYMR_FUZZ_ASSERT(a->second.ids() == e->second.ids());
+      SKYMR_FUZZ_ASSERT(a->second == e->second);
+    }
   }
   return 0;
 }

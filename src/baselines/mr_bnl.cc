@@ -80,12 +80,12 @@ class MrBnlReducer
     while (values.HasNext()) {
       const LocalSkylineSet set = values.Next();
       core::MergeParts(set.parts, grid_->dim(), &windows,
-                       &dominance_counter);
+                       &dominance_counter, ctx.pool());
     }
     // Cross-block filtering: block a may dominate into block b only when
     // a's half-code is componentwise <= b's — the PPD-2 ADR relation.
-    const uint64_t partition_comparisons =
-        core::CompareAllPartitions(*grid_, &windows, &dominance_counter);
+    const uint64_t partition_comparisons = core::CompareAllPartitions(
+        *grid_, &windows, &dominance_counter, ctx.pool());
     ctx.counters().Add(mr::kCounterPartitionComparisons,
                        static_cast<int64_t>(partition_comparisons));
     ctx.counters().Add(mr::kCounterTupleComparisons,

@@ -112,7 +112,7 @@ class SkyMrReducer
     while (values.HasNext()) {
       const LocalSkylineSet set = values.Next();
       core::MergeParts(set.parts, data_->dim(), &windows,
-                       &dominance_counter);
+                       &dominance_counter, ctx.pool());
     }
     const uint64_t comparisons =
         CompareLeaves(*tree_, &windows, &dominance_counter);

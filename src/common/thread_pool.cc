@@ -1,11 +1,19 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <memory>
 #include <utility>
 
+#include "src/common/stopwatch.h"
+
 namespace skymr {
+namespace {
+
+thread_local BusyAccount* current_account = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
@@ -153,6 +161,106 @@ void ParallelFor(ThreadPool* pool, int count,
 
   if (state->first_error != nullptr) {
     std::rethrow_exception(state->first_error);
+  }
+}
+
+BusyAccount::BusyAccount() : previous_(current_account) {
+  current_account = this;
+}
+
+BusyAccount::~BusyAccount() { current_account = previous_; }
+
+double BusyAccount::OneCoreSeconds(double wall_seconds) const {
+  return std::max(0.0, wall_seconds + adjust_seconds_);
+}
+
+void BusyAccount::ChargeCurrent(double seconds) {
+  if (current_account != nullptr) {
+    current_account->adjust_seconds_ += seconds;
+  }
+}
+
+void ParallelChunks(ThreadPool* pool, size_t units, uint64_t work,
+                    const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || units < 2 || work < kParallelChunksMinWork) {
+    for (size_t u = 0; u < units; ++u) {
+      fn(u);
+    }
+    return;
+  }
+  // Shared with the chunk tasks, which may start after the caller has
+  // returned (by then the cursor is exhausted and they do nothing).
+  struct Region {
+    explicit Region(size_t n) : units(n) {}
+    const size_t units;
+    std::atomic<size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable done;
+    size_t finished = 0;
+    double chunk_seconds = 0.0;
+    std::exception_ptr first_error;
+  };
+  // `body` is dereferenced only after a successful claim, and the caller
+  // does not return before every claimed unit has finished, so a chunk
+  // that starts late never touches a dead `fn`.
+  const auto run_chunk = [](Region& region,
+                            const std::function<void(size_t)>* body) {
+    size_t unit = region.next.fetch_add(1, std::memory_order_relaxed);
+    if (unit >= region.units) {
+      return;
+    }
+    const BusyAccount nested;  // Regions the units themselves start.
+    const Stopwatch clock;
+    size_t ran = 0;
+    std::exception_ptr error;
+    for (; unit < region.units;
+         unit = region.next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        (*body)(unit);
+      } catch (...) {
+        if (error == nullptr) {
+          error = std::current_exception();
+        }
+      }
+      ++ran;
+    }
+    const double seconds = nested.OneCoreSeconds(clock.ElapsedSeconds());
+    std::lock_guard<std::mutex> lock(region.mutex);
+    region.chunk_seconds += seconds;
+    if (error != nullptr && region.first_error == nullptr) {
+      region.first_error = error;
+    }
+    region.finished += ran;
+    if (region.finished == region.units) {
+      region.done.notify_all();
+    }
+  };
+
+  const Stopwatch region_clock;
+  auto region = std::make_shared<Region>(units);
+  const std::function<void(size_t)>* body = &fn;
+  const size_t helpers =
+      std::min(static_cast<size_t>(pool->num_threads()), units - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    pool->Submit([region, body, run_chunk] { run_chunk(*region, body); });
+  }
+  run_chunk(*region, body);
+  double chunk_seconds = 0.0;
+  std::exception_ptr error;
+  {
+    // Every unclaimed unit is gone, so whatever is left is running on
+    // another thread: blocking cannot deadlock, and never helping with
+    // queued tasks keeps other queries' work off this task's clock.
+    std::unique_lock<std::mutex> lock(region->mutex);
+    while (region->finished != units) {
+      region->done.wait(lock);
+    }
+    chunk_seconds = region->chunk_seconds;
+    error = region->first_error;
+  }
+  BusyAccount::ChargeCurrent(chunk_seconds - region_clock.ElapsedSeconds());
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

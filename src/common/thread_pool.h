@@ -13,11 +13,18 @@
 //  * Exceptions thrown by a ParallelFor body are caught, the remaining
 //    indices still run, and the first exception is rethrown to the
 //    caller. Tasks passed to raw Submit must not throw.
+//  * ParallelChunks is the fan-out for work *inside* a running task (the
+//    reducer's merge and ComparePartitions, DESIGN.md §19): a few chunk
+//    tasks pull units from an atomic cursor, the caller pulls too, and it
+//    never runs another queued task while it waits. A BusyAccount lets
+//    the fanning-out task report its one-core time.
 
 #ifndef SKYMR_COMMON_THREAD_POOL_H_
 #define SKYMR_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -78,6 +85,56 @@ class ThreadPool {
 /// the first exception thrown by `fn` is rethrown after all indices ran.
 void ParallelFor(ThreadPool* pool, int count,
                  const std::function<void(int)>& fn);
+
+/// Estimated work, in tuple visits, below which ParallelChunks runs its
+/// units serially on the caller: under it, waking pool workers costs
+/// about as much as the work itself. A constant, not a tuning knob.
+inline constexpr uint64_t kParallelChunksMinWork = 2048;
+
+/// Runs `fn(u)` once for every unit u in [0, units) and returns when all
+/// have finished. `work` is the caller's estimate of the whole region in
+/// tuple visits. With a pool, at least two units and `work` at or above
+/// kParallelChunksMinWork, the units are shared by at most
+/// num_threads() + 1 chunks (pool tasks plus the caller) that pull them
+/// from an atomic cursor; otherwise they run in order on the caller.
+/// Units must be independent of each other. The caller runs units but no
+/// other queued task, and once the cursor is exhausted it blocks only
+/// for units already running. The first exception thrown by `fn` is
+/// rethrown after every unit ran. The summed run time of the chunks is
+/// charged to the caller's BusyAccount in place of the region's wall
+/// time.
+void ParallelChunks(ThreadPool* pool, size_t units, uint64_t work,
+                    const std::function<void(size_t)>& fn);
+
+/// The one-core time of a task that fans out through ParallelChunks.
+/// Constructing an account installs it as the calling thread's current
+/// account until it is destroyed; accounts nest. Every ParallelChunks
+/// region started on the thread while it is current swaps the region's
+/// wall time for the summed run time of its chunks, wherever they ran.
+/// The account's OneCoreSeconds is then the task's serial time plus its
+/// own chunks' time, and never includes another task's work.
+class BusyAccount {
+ public:
+  BusyAccount();
+  ~BusyAccount();
+
+  BusyAccount(const BusyAccount&) = delete;
+  BusyAccount& operator=(const BusyAccount&) = delete;
+
+  /// The task's one-core seconds, given the wall seconds it took.
+  double OneCoreSeconds(double wall_seconds) const;
+
+ private:
+  friend void ParallelChunks(ThreadPool* pool, size_t units, uint64_t work,
+                             const std::function<void(size_t)>& fn);
+
+  /// Adds `seconds` (negative to remove wall time) to the calling
+  /// thread's current account, if any.
+  static void ChargeCurrent(double seconds);
+
+  BusyAccount* previous_;
+  double adjust_seconds_ = 0.0;
+};
 
 }  // namespace skymr
 

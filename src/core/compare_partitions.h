@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/common/thread_pool.h"
 #include "src/core/grid.h"
 #include "src/core/messages.h"
 
@@ -30,8 +31,13 @@ inline constexpr size_t kComparePartitionsScratchBits = size_t{1} << 22;
 /// Each window meets its ADR members in ascending cell-id order, after
 /// each of them is final, so results and both counts are those of the
 /// all-pairs scan; only the pairs with an empty side are skipped.
+/// Targets run level by level; with a `pool`, the targets of one level
+/// run in parallel (ParallelChunks). Each still meets its ADR members in
+/// ascending order once they are final, and the counts are kept per
+/// target, so the result does not depend on the pool (DESIGN.md §19).
 uint64_t CompareAllPartitions(const Grid& grid, CellWindowMap* windows,
-                              DominanceCounter* tuple_counter);
+                              DominanceCounter* tuple_counter,
+                              ThreadPool* pool = nullptr);
 
 }  // namespace skymr::core
 

@@ -82,16 +82,17 @@ class GpmrsReducer
     const GroupPayload first = values.Next();
     std::vector<CellId> responsible_cells = first.responsible;
     CellWindowMap windows;
-    MergeParts(first.parts, dim, &windows, &dominance_counter);
+    MergeParts(first.parts, dim, &windows, &dominance_counter, ctx.pool());
     while (values.HasNext()) {
       const GroupPayload payload = values.Next();
-      MergeParts(payload.parts, dim, &windows, &dominance_counter);
+      MergeParts(payload.parts, dim, &windows, &dominance_counter,
+                 ctx.pool());
     }
     // Lines 9-10: false-positive elimination within the group. The group
     // is independent (Definition 5), so every partition's full
     // anti-dominating region is present.
     const uint64_t partition_comparisons = CompareAllPartitions(
-        context_->grid, &windows, &dominance_counter);
+        context_->grid, &windows, &dominance_counter, ctx.pool());
     ctx.counters().Add(mr::kCounterPartitionComparisons,
                        static_cast<int64_t>(partition_comparisons));
     ctx.counters().Add(mr::kCounterTupleComparisons,

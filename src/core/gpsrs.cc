@@ -61,11 +61,11 @@ class GpsrsReducer
     CellWindowMap windows;
     while (values.HasNext()) {
       const LocalSkylineSet set = values.Next();
-      MergeParts(set.parts, dim, &windows, &dominance_counter);
+      MergeParts(set.parts, dim, &windows, &dominance_counter, ctx.pool());
     }
     // Lines 7-8: eliminate cross-partition false positives globally.
     const uint64_t partition_comparisons = CompareAllPartitions(
-        context_->grid, &windows, &dominance_counter);
+        context_->grid, &windows, &dominance_counter, ctx.pool());
     ctx.counters().Add(mr::kCounterPartitionComparisons,
                        static_cast<int64_t>(partition_comparisons));
     ctx.counters().Add(mr::kCounterTupleComparisons,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/serde.h"
+#include "src/common/thread_pool.h"
 #include "src/core/grid.h"
 #include "src/local/skyline_window.h"
 
@@ -52,9 +53,15 @@ struct GroupPayload {
 using CellWindowMap = std::map<CellId, SkylineWindow>;
 
 /// Merges `parts` into `windows` tuple by tuple with InsertTuple
-/// (Algorithm 6 lines 1-6 / Algorithm 9 lines 2-8).
+/// (Algorithm 6 lines 1-6 / Algorithm 9 lines 2-8). With a `pool`, and
+/// parts in strictly ascending cell order (one part per cell, as every
+/// mapper ships them), the parts merge into their distinct windows in
+/// parallel (ParallelChunks); each window sees the same Insert sequence
+/// and the count is the same sum, so the result does not depend on the
+/// pool.
 void MergeParts(const std::vector<PartitionSkyline>& parts, size_t dim,
-                CellWindowMap* windows, DominanceCounter* counter);
+                CellWindowMap* windows, DominanceCounter* counter,
+                ThreadPool* pool = nullptr);
 
 /// Concatenates all windows into one (the reducer's output union).
 SkylineWindow UnionWindows(const CellWindowMap& windows, size_t dim);

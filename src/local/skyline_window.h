@@ -46,6 +46,13 @@ class SkylineWindow {
   /// one unit per tuple-dominance test performed.
   bool Insert(const double* row, TupleId id, DominanceCounter* counter);
 
+  /// Reserves room for `rows` tuples.
+  void Reserve(size_t rows) {
+    ids_.reserve(rows);
+    values_.reserve(rows * dim_);
+    sums_.reserve(rows);
+  }
+
   /// Appends a tuple without any dominance check (caller guarantees the
   /// window invariant, e.g. when deserializing a valid window).
   void AppendUnchecked(const double* row, TupleId id);

@@ -213,8 +213,9 @@ class MapContext {
 template <typename Out>
 class ReduceContext {
  public:
-  ReduceContext(int task_id, const DistributedCache* cache)
-      : task_id_(task_id), cache_(cache) {}
+  ReduceContext(int task_id, const DistributedCache* cache,
+                ThreadPool* pool = nullptr)
+      : task_id_(task_id), cache_(cache), pool_(pool) {}
 
   /// Emits one output record.
   void Emit(Out value) {
@@ -224,6 +225,10 @@ class ReduceContext {
 
   int task_id() const { return task_id_; }
   const DistributedCache& cache() const { return *cache_; }
+  /// The job's worker pool, for fanning a reduce task's own work out
+  /// with ParallelChunks (DESIGN.md §19); the task's busy time stays its
+  /// one-core work. Null in a combiner.
+  ThreadPool* pool() const { return pool_; }
   Counters& counters() { return counters_; }
   obs::HistogramSet& histograms() { return histograms_; }
 
@@ -233,6 +238,7 @@ class ReduceContext {
 
   int task_id_;
   const DistributedCache* cache_;
+  ThreadPool* pool_;
   std::vector<Out> outputs_;
   uint64_t output_bytes_ = 0;
   Counters counters_;
@@ -452,7 +458,7 @@ class Job {
             return RunReduceAttempt(
                 attempt,
                 reducer_inputs[static_cast<size_t>(attempt.task_id)],
-                scheduler.chaos(), cache, reduce_wave_id,
+                scheduler.chaos(), cache, pool, reduce_wave_id,
                 bucket_span_ids[static_cast<size_t>(attempt.task_id)],
                 &reduce_outputs[static_cast<size_t>(attempt.task_id)]);
           },
@@ -802,17 +808,19 @@ class Job {
   /// ReducerInput is read-only here: retries re-stream the same sorted
   /// slice index, and chaos corruption truncates a value only in an
   /// attempt-local copy of the slices, so a retried attempt reads clean
-  /// bytes.
+  /// bytes. The reducer may fan its own work out over `pool`; the busy
+  /// time it reports is then its one-core time (BusyAccount).
   Status RunReduceAttempt(const TaskAttempt& attempt, const ReducerInput& in,
                           ChaosEngine* chaos, const DistributedCache& cache,
-                          uint64_t wave_span_id, uint64_t bucket_span_id,
-                          ReduceTaskOutput* out) {
+                          ThreadPool* pool, uint64_t wave_span_id,
+                          uint64_t bucket_span_id, ReduceTaskOutput* out) {
     const std::vector<ShuffleEntry>& entries = in.entries;
-    ReduceContext<Out> context(attempt.task_id, &cache);
+    ReduceContext<Out> context(attempt.task_id, &cache, pool);
     SKYMR_TRACE_SPAN_ID(task_span, "reduce.task", "task", attempt.task_id,
                         "attempt", attempt.attempt);
     task_span.SetParent(wave_span_id);
     task_span.SetLink(bucket_span_id);
+    const BusyAccount busy;
     Stopwatch clock;
     const Slice* slices = in.slices.data();
     std::vector<Slice> corrupted;
@@ -849,7 +857,7 @@ class Job {
     }
     SKYMR_TRACE_INSTANT_UNDER(task_span.id(), "task.commit", "task",
                               attempt.task_id, "attempt", attempt.attempt);
-    out->metrics.busy_seconds = clock.ElapsedSeconds();
+    out->metrics.busy_seconds = busy.OneCoreSeconds(clock.ElapsedSeconds());
     out->metrics.input_records = entries.size();
     out->metrics.input_bytes = in.input_bytes;
     out->metrics.shuffle_seconds = in.build_seconds;

@@ -18,7 +18,9 @@ namespace skymr::mr {
 struct TaskMetrics {
   /// CPU-side wall time the task spent executing user code, excluding
   /// queueing. On a loaded machine this is still per-task because tasks run
-  /// one per thread.
+  /// one per thread. A reduce task that fans work out over the pool
+  /// reports its one-core time instead: its serial time plus its own
+  /// chunks' run time, wherever they ran (BusyAccount, DESIGN.md §19).
   double busy_seconds = 0.0;
   uint64_t input_records = 0;
   uint64_t output_records = 0;

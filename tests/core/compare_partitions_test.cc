@@ -1,10 +1,13 @@
 #include "src/core/compare_partitions.h"
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/data/generator.h"
 #include "src/local/bnl.h"
 #include "src/relation/skyline_verify.h"
@@ -150,23 +153,36 @@ CellWindowMap RandomWindows(const Grid& grid, uint64_t cells, uint64_t seed) {
   return windows;
 }
 
+/// No pool, then pools of 1, 2 and 4 threads (level-parallel targets).
+std::vector<ThreadPool*> PoolsUnderTest() {
+  static ThreadPool one(1);
+  static ThreadPool two(2);
+  static ThreadPool four(4);
+  return {nullptr, &one, &two, &four};
+}
+
 void ExpectMatchesReference(const Grid& grid, const CellWindowMap& input) {
   CellWindowMap expected = input;
-  CellWindowMap actual = input;
   DominanceCounter expected_tests;
-  DominanceCounter actual_tests;
   const uint64_t expected_pairs =
       ReferenceCompareAllPartitions(grid, &expected, &expected_tests);
-  const uint64_t actual_pairs =
-      CompareAllPartitions(grid, &actual, &actual_tests);
-  EXPECT_EQ(actual_pairs, expected_pairs);
-  EXPECT_EQ(actual_tests.count(), expected_tests.count());
-  ASSERT_EQ(actual.size(), expected.size());
-  for (auto a = actual.begin(), e = expected.begin(); a != actual.end();
-       ++a, ++e) {
-    ASSERT_EQ(a->first, e->first);
-    EXPECT_EQ(a->second.ids(), e->second.ids()) << "cell " << a->first;
-    EXPECT_TRUE(a->second == e->second) << "cell " << a->first;
+  for (ThreadPool* pool : PoolsUnderTest()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "pool threads "
+                 << (pool == nullptr ? 0 : pool->num_threads()));
+    CellWindowMap actual = input;
+    DominanceCounter actual_tests;
+    const uint64_t actual_pairs =
+        CompareAllPartitions(grid, &actual, &actual_tests, pool);
+    EXPECT_EQ(actual_pairs, expected_pairs);
+    EXPECT_EQ(actual_tests.count(), expected_tests.count());
+    ASSERT_EQ(actual.size(), expected.size());
+    for (auto a = actual.begin(), e = expected.begin(); a != actual.end();
+         ++a, ++e) {
+      ASSERT_EQ(a->first, e->first);
+      EXPECT_EQ(a->second.ids(), e->second.ids()) << "cell " << a->first;
+      EXPECT_TRUE(a->second == e->second) << "cell " << a->first;
+    }
   }
 }
 
@@ -227,6 +243,34 @@ TEST(CompareAllPartitionsTest, FineGridProcessesSourcesInBlocks) {
   const CellWindowMap single = RandomWindows(coarser, 1500, 12);
   ASSERT_LT(single.size(), BlockWidth(coarser, single));  // One block.
   ExpectMatchesReference(coarser, single);
+}
+
+TEST(CompareAllPartitionsTest, PooledMatchesReferenceOnReducerSizedWindows) {
+  // Per-cell local skylines of anti-correlated d=5 tuples at ppd 2, the
+  // shape a reducer holds: one level carries more tuples than the fan-out
+  // floor, so its targets really run on several threads.
+  const Dataset dataset = data::GenerateAntiCorrelated(20000, 5, 57);
+  const Grid grid = MakeGrid(5, 2);
+  CellWindowMap windows;
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    const auto id = static_cast<TupleId>(i);
+    auto [it, inserted] = windows.try_emplace(
+        grid.CellOf(dataset.RowPtr(id)), SkylineWindow(5));
+    it->second.Insert(dataset.RowPtr(id), id, nullptr);
+  }
+  std::map<uint32_t, uint64_t> level_tuples;
+  std::vector<uint32_t> coords(5);
+  for (const auto& [cell, window] : windows) {
+    grid.CoordsOf(cell, coords.data());
+    level_tuples[coords[0] + coords[1] + coords[2] + coords[3] + coords[4]] +=
+        window.size();
+  }
+  uint64_t widest = 0;
+  for (const auto& [level, tuples] : level_tuples) {
+    widest = std::max(widest, tuples);
+  }
+  ASSERT_GE(widest, kParallelChunksMinWork);
+  ExpectMatchesReference(grid, windows);
 }
 
 TEST(CompareAllPartitionsTest, EmptyWindowsCountButCostNoTests) {

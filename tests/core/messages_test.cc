@@ -1,6 +1,11 @@
 #include "src/core/messages.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
+
+#include "src/common/thread_pool.h"
+#include "src/data/generator.h"
 
 namespace skymr::core {
 namespace {
@@ -67,6 +72,91 @@ TEST(MergePartsTest, IncomparableTuplesAccumulate) {
   MergeParts({{0, MakeWindow({{0, {0.1, 0.9}}}, 2)}}, 2, &windows, nullptr);
   MergeParts({{0, MakeWindow({{1, {0.9, 0.1}}}, 2)}}, 2, &windows, nullptr);
   EXPECT_EQ(windows[0].size(), 2u);
+}
+
+/// What `mappers` GPSRS mappers would ship for `data` on a ppd grid:
+/// one set per contiguous split, one part per held cell, ascending.
+std::vector<std::vector<PartitionSkyline>> MapperSets(const Dataset& data,
+                                                      uint32_t ppd,
+                                                      size_t mappers) {
+  const Grid grid = std::move(Grid::Create(data.dim(), ppd,
+                                           Bounds::UnitCube(data.dim())))
+                        .value();
+  std::vector<std::vector<PartitionSkyline>> sets;
+  for (size_t m = 0; m < mappers; ++m) {
+    CellWindowMap windows;
+    for (size_t i = data.size() * m / mappers;
+         i < data.size() * (m + 1) / mappers; ++i) {
+      const auto id = static_cast<TupleId>(i);
+      auto [it, inserted] = windows.try_emplace(grid.CellOf(data.RowPtr(id)),
+                                                SkylineWindow(data.dim()));
+      it->second.Insert(data.RowPtr(id), id, nullptr);
+    }
+    std::vector<PartitionSkyline>& parts = sets.emplace_back();
+    for (auto& [cell, window] : windows) {
+      parts.push_back({cell, std::move(window)});
+    }
+  }
+  return sets;
+}
+
+void ExpectPooledMergeMatchesSerial(
+    const std::vector<std::vector<PartitionSkyline>>& sets, size_t dim) {
+  CellWindowMap expected;
+  DominanceCounter expected_tests;
+  for (const auto& parts : sets) {
+    MergeParts(parts, dim, &expected, &expected_tests);
+  }
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    CellWindowMap actual;
+    DominanceCounter actual_tests;
+    for (const auto& parts : sets) {
+      MergeParts(parts, dim, &actual, &actual_tests, &pool);
+    }
+    EXPECT_EQ(actual_tests.count(), expected_tests.count())
+        << threads << " threads";
+    ASSERT_EQ(actual.size(), expected.size()) << threads << " threads";
+    for (auto a = actual.begin(), e = expected.begin(); a != actual.end();
+         ++a, ++e) {
+      ASSERT_EQ(a->first, e->first);
+      EXPECT_TRUE(a->second == e->second)
+          << "cell " << a->first << ", " << threads << " threads";
+    }
+  }
+}
+
+TEST(MergePartsTest, PooledMatchesSerialAcrossGrids) {
+  for (const size_t dim : {2u, 3u, 4u, 6u}) {
+    for (const uint32_t ppd : {2u, 3u, 5u, 64u}) {
+      if (ppd == 64 && dim > 2) {
+        continue;
+      }
+      for (const size_t mappers : {1u, 3u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << "d=" << dim << " ppd=" << ppd
+                                          << " mappers=" << mappers);
+        // Anti-correlated sets are large enough to fan out; independent
+        // ones mostly stay under the floor.
+        ExpectPooledMergeMatchesSerial(
+            MapperSets(data::GenerateAntiCorrelated(6000, dim, 7 * dim + ppd),
+                       ppd, mappers),
+            dim);
+        ExpectPooledMergeMatchesSerial(
+            MapperSets(data::GenerateIndependent(2000, dim, 5 * dim + ppd),
+                       ppd, mappers),
+            dim);
+      }
+    }
+  }
+}
+
+TEST(MergePartsTest, PartsOutOfCellOrderMergeSerially) {
+  // Descending or repeated cells are not the one-part-per-cell shape the
+  // parallel merge relies on; the pooled call must still match.
+  auto sets = MapperSets(data::GenerateAntiCorrelated(6000, 3, 19), 3, 2);
+  std::reverse(sets[0].begin(), sets[0].end());
+  sets[1].push_back(sets[1].front());
+  ExpectPooledMergeMatchesSerial(sets, 3);
 }
 
 TEST(UnionWindowsTest, ConcatenatesInCellOrder) {

@@ -339,6 +339,10 @@ TEST(FlightRecorderPostMortemTest, ChaosCrashDumpNamesFailingQuery) {
   config.chaos.seed = 99;
   config.chaos.crash_rate = 0.5;
   config.max_task_attempts = 1;  // first injected crash is fatal
+  // One query at a time, so the first failure by index is also the first
+  // in time. With two slots two queries can fail concurrently and the
+  // later-indexed one may fire the dump.
+  config.admission_slots = 1;
   auto report = RunLoad(config, &metrics, &logger);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_GT(report->errors, 0) << "chaos injected no fatal fault";

@@ -1,6 +1,7 @@
 #include "src/mapreduce/job.h"
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -467,6 +468,63 @@ TEST(JobTest, MetricsCountRecordsAndBytes) {
   EXPECT_EQ(reduce_in_bytes, result.metrics.shuffle_bytes);
   EXPECT_EQ(reduce_in_records, 15u);
   EXPECT_GT(result.metrics.wall_seconds, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Reduce tasks fanning out over the job's pool (DESIGN.md §19).
+// ---------------------------------------------------------------------
+
+class KeyByValueMapper : public Mapper<int, int, int> {
+ public:
+  void Map(const int& value, MapContext<int, int>& ctx) override {
+    ctx.Emit(value, value);
+  }
+};
+
+/// Spins four nested units of 20 ms (key 0) or 5 ms (key 1) through
+/// ParallelChunks on the job's pool, and emits the pool it was given.
+class NestedSpinReducer : public Reducer<int, int, int64_t> {
+ public:
+  void Reduce(const int& key, ValueIterator<int>& values,
+              ReduceContext<int64_t>& ctx) override {
+    (void)values.Drain();
+    const double unit_seconds = key == 0 ? 0.020 : 0.005;
+    ParallelChunks(ctx.pool(), 4, kParallelChunksMinWork,
+                   [unit_seconds](size_t) {
+                     const auto until =
+                         std::chrono::steady_clock::now() +
+                         std::chrono::duration<double>(unit_seconds);
+                     while (std::chrono::steady_clock::now() < until) {
+                     }
+                   });
+    ctx.Emit(reinterpret_cast<int64_t>(ctx.pool()));
+  }
+};
+
+TEST(JobTest, NestedReduceWorkIsChargedToItsOwnTask) {
+  Job<int, int, int, int64_t> job(
+      "nested-spin", [] { return std::make_unique<KeyByValueMapper>(); },
+      [] { return std::make_unique<NestedSpinReducer>(); });
+  job.UseModuloPartitioner();
+  EngineOptions options;
+  options.num_map_tasks = 2;
+  options.num_reducers = 2;
+  ThreadPool pool(4);
+  DistributedCache cache;
+  const std::vector<int> input = {0, 1};
+  auto result = job.Run(input, options, cache, &pool);
+  ASSERT_TRUE(result.ok()) << result.status;
+  ASSERT_EQ(result.outputs.size(), 2u);
+  for (const int64_t seen : result.outputs) {
+    EXPECT_EQ(seen, reinterpret_cast<int64_t>(&pool));
+  }
+  ASSERT_EQ(result.metrics.reduce_tasks.size(), 2u);
+  // 4 x 20 ms of one-core work, however many threads ran it.
+  EXPECT_GE(result.metrics.reduce_tasks[0].busy_seconds, 0.060);
+  // The concurrent reducer owns 4 x 5 ms; whatever it waited through or
+  // whichever of the other task's chunks its thread ran later is not its.
+  EXPECT_GE(result.metrics.reduce_tasks[1].busy_seconds, 0.015);
+  EXPECT_LT(result.metrics.reduce_tasks[1].busy_seconds, 0.060);
 }
 
 TEST(JobTest, ValuesPhysicallySerializedThroughShuffle) {
