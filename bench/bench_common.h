@@ -149,12 +149,14 @@ inline ThreadPool& SharedBenchPool() {
 }
 
 /// The paper's experimental configuration: 13 nodes, one mapper split per
-/// node, MR-GPMRS defaults to one reducer per node (Section 7.1). Every
-/// pipeline is a one-shot run on the shared pool, with no session cache.
+/// node, MR-GPMRS defaults to one reducer per node (Section 7.1), and the
+/// paper's own Section 3.3 PPD rule. Every pipeline is a one-shot run on
+/// the shared pool, with no session cache.
 inline SessionOptions PaperOptions(int reducers = 13) {
   SessionOptions options;
   options.engine.num_map_tasks = 13;
   options.engine.num_reducers = reducers;
+  options.ppd.strategy = core::PpdStrategy::kPaperLiteral;
   options.pool = &SharedBenchPool();
   options.cache = false;
   return options;

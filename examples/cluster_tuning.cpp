@@ -32,8 +32,8 @@ int main() {
               data.dim());
 
   // ---- 1. Grid resolution (tuples per partition trade-off) ----
-  std::printf("PPD sweep (explicit grid resolutions vs the Section 3.3 "
-              "heuristic):\n");
+  std::printf("PPD sweep (explicit grid resolutions vs the default "
+              "selection rule):\n");
   std::printf("%6s %10s %12s %14s %16s\n", "ppd", "cells", "nonempty",
               "modeled[s]", "partition cmps");
   for (const uint32_t ppd : {2u, 3u, 4u, 6u, 8u}) {
@@ -62,8 +62,9 @@ int main() {
     auto result = skymr::ComputeSkyline(data, BaseOptions(),
                                         Query(skymr::Algorithm::kMrGpmrs));
     if (result.ok()) {
-      std::printf("heuristic (Section 3.3) selected PPD %u, modeled %.1f s\n",
-                  result->ppd, result->modeled_seconds);
+      std::printf("%s rule selected PPD %u, modeled %.1f s\n",
+                  result->ppd_rule.c_str(), result->ppd,
+                  result->modeled_seconds);
     }
   }
 

@@ -19,8 +19,9 @@ int main() {
 
   // 2. Configure the run. The session options hold what depends on the
   //    dataset: 13 mappers and 13 reducers, mirroring the paper's 13-node
-  //    Hadoop cluster, and a grid resolution picked by the Section 3.3
-  //    PPD heuristic. The query spec picks the algorithm.
+  //    Hadoop cluster, and a grid resolution picked by the default cost
+  //    rule (the PPD with the least estimated work). The query spec picks
+  //    the algorithm.
   skymr::SessionOptions options;
   options.engine.num_map_tasks = 13;
   options.engine.num_reducers = 13;

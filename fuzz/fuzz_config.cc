@@ -67,7 +67,6 @@ void ConsumeRawConfig(FuzzInput* input, skymr::SessionOptions* options,
   options->ppd.explicit_ppd = input->ConsumeRaw<uint32_t>();
   options->ppd.strategy =
       static_cast<skymr::core::PpdStrategy>(input->ConsumeRaw<uint8_t>());
-  options->ppd.target_tpp = input->ConsumeDouble();
   options->ppd.max_candidate = input->ConsumeRaw<uint32_t>();
   options->ppd.max_cells = input->ConsumeRaw<uint64_t>();
   options->prune_mode =

@@ -405,7 +405,6 @@ void AppendRawConfig(SeedBuilder* b, uint64_t wave_fraction_bits) {
   AppendChaos(b, 0);                  // options.engine.chaos (rate 0)
   b->Raw<uint32_t>(4);                // options.ppd.explicit_ppd
   b->Raw<uint8_t>(1);                 // options.ppd.strategy
-  b->Double(512.0);                   // options.ppd.target_tpp
   b->Raw<uint32_t>(8);                // options.ppd.max_candidate
   b->Raw<uint64_t>(1 << 20);          // options.ppd.max_cells
   b->Raw<uint8_t>(0);                 // options.prune_mode

@@ -1,18 +1,20 @@
 // Choosing the number of partitions per dimension (Section 3.3).
 //
 // The mappers build bitstrings for a series of candidate PPDs
-// j = 2 .. n_m with n_m = floor(c^(1/d)), and the reducer picks the PPD
-// whose observed occupancy best matches the desired tuples-per-partition.
+// j = 2 .. n_m with n_m = floor(c^(1/d)), and the reducer picks one PPD
+// from the observed occupancies rho_j.
 //
 // Two decision rules are provided:
+//  * kCost (the default) — minimize the estimated work of the skyline
+//    job on candidate j, in dominance-test units (EstimateGridWork):
+//    per-partition overhead, ADR pair enumeration (the Section 6 model
+//    scaled by the fill ratio) and tuple tests against windows of the
+//    expected per-cell skyline size. DESIGN.md §20 derives the constants.
 //  * kPaperLiteral — the rule as printed in the paper: minimize
 //    |c/rho_j - c/j^d|, where rho_j is the number of non-empty partitions
 //    of candidate j. Ties (within epsilon) break toward the larger j, so
 //    on well-spread data this selects the finest grid whose cells are
-//    still (almost) all occupied.
-//  * kTargetTpp — minimize |c/rho_j - TPP*| for an explicit desired
-//    tuples-per-partition TPP*, the quantity Section 3.3 says the ideal
-//    rule would use if mapper/reducer capacities were known.
+//    still (almost) all occupied. The figure benches pin it.
 
 #ifndef SKYMR_CORE_PPD_H_
 #define SKYMR_CORE_PPD_H_
@@ -27,7 +29,7 @@ namespace skymr::core {
 
 enum class PpdStrategy {
   kPaperLiteral,
-  kTargetTpp,
+  kCost,
 };
 
 const char* PpdStrategyName(PpdStrategy strategy);
@@ -36,9 +38,7 @@ const char* PpdStrategyName(PpdStrategy strategy);
 struct PpdOptions {
   /// When > 0, skip selection entirely and use this PPD.
   uint32_t explicit_ppd = 0;
-  PpdStrategy strategy = PpdStrategy::kPaperLiteral;
-  /// Desired tuples per partition for kTargetTpp.
-  double target_tpp = 512.0;
+  PpdStrategy strategy = PpdStrategy::kCost;
   /// Largest candidate PPD considered (bounds mapper-side bitstring work).
   uint32_t max_candidate = 64;
   /// Budget for n^d per candidate grid.
@@ -54,8 +54,14 @@ using PpdOccupancy = std::pair<uint32_t, uint64_t>;
 std::vector<uint32_t> CandidatePpds(uint64_t cardinality, size_t dim,
                                     const PpdOptions& options);
 
+/// kCost's score: the estimated skyline-job work of a grid with `ppd`
+/// partitions per dimension of which `nonempty` are occupied, in
+/// dominance-test units. +infinity when `nonempty` is 0.
+double EstimateGridWork(uint64_t cardinality, size_t dim, uint32_t ppd,
+                        uint64_t nonempty);
+
 /// Applies the selection rule to the measured occupancies. Precondition:
-/// `occupancies` is non-empty and every rho is >= 1.
+/// `occupancies` is non-empty. A candidate with rho = 0 is the worst.
 uint32_t SelectPpd(const PpdOptions& options, uint64_t cardinality,
                    size_t dim, const std::vector<PpdOccupancy>& occupancies);
 

@@ -54,6 +54,9 @@ struct SkylineResult {
   double modeled_compute_seconds = 0.0;
   /// Selected PPD (grid algorithms; 0 for baselines).
   uint32_t ppd = 0;
+  /// How `ppd` was chosen: "explicit" (PpdOptions::explicit_ppd) or the
+  /// selection rule's PpdStrategyName. Empty for baselines.
+  std::string ppd_rule;
   /// Non-empty partitions before / pruned by Equation 2.
   uint64_t nonempty_partitions = 0;
   uint64_t pruned_partitions = 0;

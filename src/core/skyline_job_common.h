@@ -124,15 +124,15 @@ struct SkylineJobRun {
 };
 
 /// Input-size ceiling for the debug-only skyline cross-check below; the
-/// reference is O(n^2), so the check is restricted to inputs where it
-/// stays cheap enough to run after every job in sanitizer CI.
+/// reference costs O(n log n + n s) for a skyline of s tuples (O(n^2) on
+/// all-skyline data), so the check is restricted to inputs where it stays
+/// cheap enough to run after every job in sanitizer CI.
 inline constexpr size_t kDebugSkylineVerifyMaxTuples = 4096;
 
 /// Debug/sanitizer builds only (SKYMR_DCHECK_IS_ON): cross-checks a
-/// finished GPSRS/GPMRS run against the O(n^2) reference skyline and
+/// finished GPSRS/GPMRS run against the scalar reference skyline and
 /// aborts on any mismatch. Constrained runs are skipped — the reference
-/// is defined over the whole dataset — as are inputs too large for the
-/// quadratic check.
+/// is defined over the whole dataset — as are inputs above the ceiling.
 inline void DebugVerifySkyline(const char* algorithm, const Dataset& data,
                                const SkylineWindow& skyline,
                                const std::optional<Box>& constraint) {

@@ -1,5 +1,6 @@
 #include "src/cost/cost_model.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -108,6 +109,82 @@ double MapperCost(uint32_t ppd, size_t dim) {
 
 double ReducerCost(uint32_t ppd, size_t dim) {
   return KappaSurface(ppd, dim, 1);
+}
+
+namespace {
+
+/// p_r(n) = sum_{i=1..n} i^-r. Summed directly up to kDirect; beyond it
+/// the tail sum_{i=kDirect+1..n} f(i) is the Euler-Maclaurin integral
+/// plus the endpoint and first-derivative corrections, whose error is
+/// O(f'''(kDirect)) ~ 1e-10 relative.
+double PowerSum(uint64_t n, size_t r) {
+  constexpr uint64_t kDirect = 64;
+  const auto f = [r](double x) { return std::pow(x, -static_cast<double>(r)); };
+  double sum = 0.0;
+  for (uint64_t i = 1; i <= std::min(n, kDirect); ++i) {
+    sum += f(static_cast<double>(i));
+  }
+  if (n <= kDirect) {
+    return sum;
+  }
+  const auto a = static_cast<double>(kDirect);
+  const auto b = static_cast<double>(n);
+  const double integral =
+      r == 1 ? std::log(b / a)
+             : (std::pow(a, 1.0 - static_cast<double>(r)) -
+                std::pow(b, 1.0 - static_cast<double>(r))) /
+                   (static_cast<double>(r) - 1.0);
+  const auto df = [r](double x) {
+    return -static_cast<double>(r) * std::pow(x, -static_cast<double>(r) - 1.0);
+  };
+  // sum_{i=a..b} f(i) ~ integral + (f(a) + f(b)) / 2 + (f'(b) - f'(a)) / 12;
+  // f(a) is already in the direct part, so take it back out.
+  return sum + integral + (f(b) - f(a)) / 2.0 + (df(b) - df(a)) / 12.0;
+}
+
+}  // namespace
+
+double ExpectedMaxima(double n, size_t dim) {
+  if (dim <= 1) {
+    return 1.0;
+  }
+  const uint64_t count =
+      n < 1.5 ? 1 : static_cast<uint64_t>(std::llround(n));
+  // Newton's identities for the complete homogeneous polynomials:
+  // k h_k = sum_{r=1..k} p_r h_{k-r}, h_0 = 1. Every term is positive, so
+  // the recursion is stable.
+  const size_t degree = dim - 1;
+  std::vector<double> power(degree + 1, 0.0);
+  for (size_t r = 1; r <= degree; ++r) {
+    power[r] = PowerSum(count, r);
+  }
+  std::vector<double> h(degree + 1, 0.0);
+  h[0] = 1.0;
+  for (size_t k = 1; k <= degree; ++k) {
+    double acc = 0.0;
+    for (size_t r = 1; r <= k; ++r) {
+      acc += power[r] * h[k - r];
+    }
+    h[k] = acc / static_cast<double>(k);
+  }
+  // The skyline never exceeds the point count; the clamp only absorbs
+  // rounding.
+  return std::min(h[degree], static_cast<double>(count));
+}
+
+double ExpectedMaximaLiteral(uint64_t n, size_t dim) {
+  if (dim <= 1 || n == 0) {
+    return n == 0 ? 0.0 : 1.0;
+  }
+  // running[k] = H(i, k + 1) after step i.
+  std::vector<double> running(dim, 0.0);
+  for (uint64_t i = 1; i <= n; ++i) {
+    running[0] = 1.0;
+    for (size_t k = 1; k < dim; ++k) {
+      running[k] += running[k - 1] / static_cast<double>(i);
+    }
+  }
+  return running[dim - 1];
 }
 
 }  // namespace skymr::cost

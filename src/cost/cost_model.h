@@ -28,6 +28,14 @@
 //
 // Results are returned as double: at the paper's scales (n up to ~64,
 // d up to 10) the counts exceed 64-bit integers.
+//
+// ExpectedMaxima is not from the paper: it is the expected skyline size
+// of n independent uniform points in d dimensions (Bentley, Kung,
+// Schkolnick & Thompson 1978), H(n, d) = sum_{i=1..n} H(i, d-1) / i with
+// H(n, 1) = 1. Unrolled, H(n, d) = h_{d-1}(1, 1/2, ..., 1/n), the complete
+// homogeneous symmetric polynomial, which Newton's identities evaluate
+// from the power sums p_r = sum_{i<=n} i^-r in O(d^2). The PPD cost rule
+// (core/ppd.h) uses it as the expected window size of a grid cell.
 
 #ifndef SKYMR_COST_COST_MODEL_H_
 #define SKYMR_COST_COST_MODEL_H_
@@ -61,6 +69,16 @@ double MapperCost(uint32_t ppd, size_t dim);
 /// Equation 9: estimated partition-wise comparisons on the most loaded
 /// MR-GPMRS reducer.
 double ReducerCost(uint32_t ppd, size_t dim);
+
+/// Expected skyline size H(n, d) of n independent uniform points in d
+/// dimensions; n is rounded to the nearest integer and clamped to >= 1.
+/// Exact to double rounding for n <= 64, within 1e-9 relative beyond
+/// (Euler-Maclaurin tails of the power sums).
+double ExpectedMaxima(double n, size_t dim);
+
+/// The literal recurrence H(n, d) = sum_{i<=n} H(i, d-1) / i (test
+/// oracle; O(n d)).
+double ExpectedMaximaLiteral(uint64_t n, size_t dim);
 
 }  // namespace skymr::cost
 

@@ -206,9 +206,13 @@ void CheckPpd(const JsonValue& report, const DoctorOptions& options,
   }
   // The Section 3.3 candidate series runs up to n_m = floor(n^(1/d)): a
   // selected PPD far below that with overfull partitions means the grid
-  // was forced or capped too coarse.
+  // was forced or capped too coarse. The cost rule chooses coarse grids
+  // on purpose (it weighs partition and ADR-pair overhead against
+  // window size), so a grid it picked is not flagged; explicit grids,
+  // paper-rule grids and reports without a ppd_rule keep the check.
   const double candidate_max = std::floor(std::pow(n, 1.0 / static_cast<double>(dim)));
-  if (static_cast<double>(ppd) < candidate_max &&
+  if (report.GetString("ppd_rule", "") != "cost" &&
+      static_cast<double>(ppd) < candidate_max &&
       observed_tpp > options.coarse_tpp) {
     findings->push_back(Finding{
         Severity::kWarning, "ppd-coarse",

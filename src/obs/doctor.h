@@ -12,7 +12,9 @@
 //                      paper's uniformity assumption);
 //   ppd-coarse         the grid is much coarser than the Section 3.3
 //                      candidate series allows and partitions are
-//                      overfull (PPD forced or capped too low);
+//                      overfull (PPD forced or capped too low; a grid
+//                      the cost rule picked is coarse by design and is
+//                      not flagged);
 //   cost-model         observed comparison maxima exceed the Section 6
 //                      predictions (Eq. 5-9) by a large factor;
 //   pruning            Equation 2 bitstring pruning removed almost no

@@ -9,7 +9,8 @@
 //   { "schema": "skymr-report-v1",
 //     "algorithm": "mr-gpmrs", "wall_seconds": ..., "modeled_seconds": ...,
 //     "modeled_compute_seconds": ..., "skyline_size": ...,
-//     "ppd": ..., "nonempty_partitions": ..., "pruned_partitions": ...,
+//     "ppd": ..., "ppd_rule": ..., "nonempty_partitions": ...,
+//     "pruned_partitions": ...,
 //     "degraded": ..., "resumed_from_checkpoint": ...,
 //     "jobs": [ { "name": ..., "wall_seconds": ..., "shuffle_bytes": ...,
 //                 "task_retries": ..., "cache_hits": ..., "cache_misses": ...,
@@ -34,6 +35,9 @@
 //                  wave_median_seconds} ],
 //       "deterministic": { "dag_signature": ...,
 //                          "phases": [ {phase, records, percent} ] } } }
+//
+// "ppd_rule" (grid algorithms only) says how the grid was chosen:
+// "explicit", or the selection rule's name ("cost", "paper-literal").
 //
 // "cost_model" is present only for the grid algorithms (ppd > 0). The
 // predictions are the paper's estimates under its uniformity assumptions,

@@ -13,9 +13,16 @@
 
 namespace skymr {
 
-/// Reference O(n^2) skyline over the whole dataset. Duplicated tuples (equal
-/// on every dimension) are all retained, matching Definition 1 where equal
-/// tuples do not dominate each other.
+/// Reference skyline over the whole dataset, as ascending tuple ids.
+/// Duplicated tuples (equal on every dimension) are all retained, matching
+/// Definition 1 where equal tuples do not dominate each other.
+///
+/// A scalar sort-by-coordinate-sum scan (SFS without the kernels): tuples
+/// are visited in ascending sum, and each is tested against the skyline
+/// found so far plus the tuples tied with it on the sum. It shares no
+/// code with the production dominance kernels and costs O(n log n + n s)
+/// for a skyline of s tuples; tests cross-check it against the quadratic
+/// definition.
 std::vector<TupleId> ReferenceSkyline(const Dataset& data);
 
 /// True iff `candidate` equals `expected` as a set of tuple ids.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -50,8 +49,9 @@ Status SessionOptions::Validate() const {
     return Status::InvalidArgument(
         "ppd: max_candidate must be >= 2 (the smallest grid)");
   }
-  if (!(ppd.target_tpp > 0.0 && std::isfinite(ppd.target_tpp))) {
-    return Status::InvalidArgument("ppd: target_tpp must be finite and > 0");
+  if (ppd.strategy != core::PpdStrategy::kPaperLiteral &&
+      ppd.strategy != core::PpdStrategy::kCost) {
+    return Status::InvalidArgument("ppd: strategy out of range");
   }
   if (ppd.max_cells < 4) {
     return Status::InvalidArgument(
@@ -147,9 +147,8 @@ void FillModeledTimes(const mr::ClusterModel& cluster,
 /// The session-scoped prefix of the bitstring fingerprint: dataset shape
 /// plus a content probe (first/middle/last tuples), PPD policy, prune
 /// mode, and bounds choice. FingerprintFor extends it per query with the
-/// constraint box. The mixing chain must stay byte-compatible with the
-/// pre-split BitstringFingerprint(data, config) so checkpoint files
-/// written by earlier versions still hit.
+/// constraint box. The PPD strategy is mixed in, so a phase selected
+/// under one rule never serves a query under another.
 uint64_t FingerprintPrefix(const Dataset& data,
                            const SessionOptions& options) {
   uint64_t h = mr::ChaosMix64(0x736b796d72636b70ULL);
@@ -169,7 +168,6 @@ uint64_t FingerprintPrefix(const Dataset& data,
   }
   mix(options.ppd.explicit_ppd);
   mix(static_cast<uint64_t>(options.ppd.strategy));
-  mix_double(options.ppd.target_tpp);
   mix(options.ppd.max_candidate);
   mix(options.ppd.max_cells);
   mix(static_cast<uint64_t>(options.prune_mode));
@@ -418,6 +416,9 @@ StatusOr<SkylineResult> Session::RunPipeline(const QuerySpec& spec,
   SKYMR_RETURN_IF_ERROR(
       EnsureBitstring(spec, engine_in, &result, &phase, info));
   result.ppd = phase.ppd;
+  result.ppd_rule = options_.ppd.explicit_ppd > 0
+                        ? "explicit"
+                        : core::PpdStrategyName(options_.ppd.strategy);
   result.nonempty_partitions = phase.nonempty;
   result.pruned_partitions = phase.pruned;
   SKYMR_LOG(DEBUG) << "bitstring job: selected PPD " << result.ppd << ", "

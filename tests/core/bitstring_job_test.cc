@@ -65,7 +65,8 @@ TEST(BitstringJobTest, SplitCountDoesNotChangeResult) {
 
 TEST(BitstringJobTest, CandidateSeriesReportsOccupancies) {
   const auto data = Share(data::GenerateIndependent(5000, 2, 29));
-  const auto config = ConfigFor(*data, {2, 3, 4, 5});
+  auto config = ConfigFor(*data, {2, 3, 4, 5});
+  config.ppd.strategy = PpdStrategy::kPaperLiteral;
   mr::EngineOptions engine;
   engine.num_map_tasks = 3;
   auto run = RunBitstringJob(data, config, engine);

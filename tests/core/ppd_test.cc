@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "src/common/math_util.h"
 
 namespace skymr::core {
@@ -70,39 +73,110 @@ TEST(SelectPpdTest, PaperLiteralArgminWhenNoExactTie) {
   EXPECT_EQ(SelectPpd(options, 1000, 2, occupancies), 3u);
 }
 
-TEST(SelectPpdTest, TargetTppPicksClosestEstimate) {
-  PpdOptions options;
-  options.strategy = PpdStrategy::kTargetTpp;
-  options.target_tpp = 100.0;
-  // Estimated TPP: 1000/4=250, 1000/9=111, 1000/14=71.
-  const std::vector<PpdOccupancy> occupancies = {{2, 4}, {3, 9}, {4, 14}};
-  EXPECT_EQ(SelectPpd(options, 1000, 2, occupancies), 3u);
-}
-
 TEST(SelectPpdTest, ZeroCardinalityPicksFirst) {
-  PpdOptions options;
-  const std::vector<PpdOccupancy> occupancies = {{2, 0}, {3, 0}};
-  EXPECT_EQ(SelectPpd(options, 0, 2, occupancies), 2u);
+  for (const PpdStrategy strategy :
+       {PpdStrategy::kPaperLiteral, PpdStrategy::kCost}) {
+    PpdOptions options;
+    options.strategy = strategy;
+    const std::vector<PpdOccupancy> occupancies = {{2, 0}, {3, 0}};
+    EXPECT_EQ(SelectPpd(options, 0, 2, occupancies), 2u);
+  }
 }
 
 TEST(SelectPpdTest, EmptyOccupancyRhoTreatedAsWorst) {
   PpdOptions options;
-  options.strategy = PpdStrategy::kTargetTpp;
-  options.target_tpp = 50.0;
+  options.strategy = PpdStrategy::kCost;
   const std::vector<PpdOccupancy> occupancies = {{2, 0}, {3, 20}};
   EXPECT_EQ(SelectPpd(options, 1000, 2, occupancies), 3u);
+  EXPECT_EQ(EstimateGridWork(1000, 2, 2, 0),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(SelectPpdTest, SingleCandidateAlwaysWins) {
-  PpdOptions options;
-  const std::vector<PpdOccupancy> occupancies = {{5, 100}};
-  EXPECT_EQ(SelectPpd(options, 12345, 3, occupancies), 5u);
+  for (const PpdStrategy strategy :
+       {PpdStrategy::kPaperLiteral, PpdStrategy::kCost}) {
+    PpdOptions options;
+    options.strategy = strategy;
+    const std::vector<PpdOccupancy> occupancies = {{5, 100}};
+    EXPECT_EQ(SelectPpd(options, 12345, 3, occupancies), 5u);
+  }
 }
 
 TEST(PpdStrategyTest, Names) {
   EXPECT_STREQ(PpdStrategyName(PpdStrategy::kPaperLiteral),
                "paper-literal");
-  EXPECT_STREQ(PpdStrategyName(PpdStrategy::kTargetTpp), "target-tpp");
+  EXPECT_STREQ(PpdStrategyName(PpdStrategy::kCost), "cost");
+}
+
+TEST(PpdStrategyTest, CostIsTheDefault) {
+  EXPECT_EQ(PpdOptions{}.strategy, PpdStrategy::kCost);
+}
+
+// Occupancy vectors measured by the bitstring job on the skymr-e2e
+// workloads' data (seed 42): 300k independent and 100k anti-correlated
+// tuples in 6 dimensions, and 100k anti-correlated tuples in 8.
+const std::vector<PpdOccupancy> kIndep6 = {
+    {2, 64},     {3, 729},     {4, 4096},  {5, 15625},
+    {6, 46598},  {7, 108494},  {8, 178490}};
+const std::vector<PpdOccupancy> kAnti6 = {
+    {2, 64}, {3, 708}, {4, 3596}, {5, 11810}, {6, 28736}};
+const std::vector<PpdOccupancy> kAnti8 = {{2, 256}, {3, 5878}, {4, 37173}};
+
+TEST(SelectPpdTest, CostRulePicksThreeOnTheE2eWorkloads) {
+  const PpdOptions options;  // kCost
+  EXPECT_EQ(SelectPpd(options, 300000, 6, kIndep6), 3u);
+  EXPECT_EQ(SelectPpd(options, 100000, 6, kAnti6), 3u);
+  EXPECT_EQ(SelectPpd(options, 100000, 8, kAnti8), 3u);
+}
+
+TEST(SelectPpdTest, PaperRuleStillPicksItsOwnGrids) {
+  // The same vectors under the paper's rule: the finest fully occupied
+  // grid on independent data, PPD 2 where occupancy falls short.
+  PpdOptions options;
+  options.strategy = PpdStrategy::kPaperLiteral;
+  EXPECT_EQ(SelectPpd(options, 300000, 6, kIndep6), 5u);
+  EXPECT_EQ(SelectPpd(options, 100000, 6, kAnti6), 2u);
+  EXPECT_EQ(SelectPpd(options, 100000, 8, kAnti8), 2u);
+}
+
+TEST(SelectPpdTest, CostRuleIsAPureFunction) {
+  const PpdOptions options;
+  const uint32_t first = SelectPpd(options, 300000, 6, kIndep6);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(SelectPpd(options, 300000, 6, kIndep6), first);
+  }
+  EXPECT_EQ(EstimateGridWork(300000, 6, 3, 729),
+            EstimateGridWork(300000, 6, 3, 729));
+}
+
+TEST(SelectPpdTest, CostRuleHandlesOneTuplePerCell) {
+  // rho = c: every non-empty cell holds a single tuple, whose window is
+  // itself. The score stays finite and the selection well defined.
+  const std::vector<PpdOccupancy> occupancies = {{2, 4}, {3, 9}, {4, 16}};
+  const double work = EstimateGridWork(16, 2, 4, 16);
+  EXPECT_TRUE(std::isfinite(work));
+  EXPECT_GT(work, 0.0);
+  const uint32_t ppd = SelectPpd(PpdOptions{}, 16, 2, occupancies);
+  EXPECT_GE(ppd, 2u);
+  EXPECT_LE(ppd, 4u);
+}
+
+TEST(SelectPpdTest, CostRuleHandlesASingleOccupiedCell) {
+  // rho = 1 on every candidate: all tuples share one cell, so the extra
+  // cells of a finer grid buy nothing and the coarsest grid wins.
+  const std::vector<PpdOccupancy> occupancies = {{2, 1}, {3, 1}, {4, 1}};
+  EXPECT_EQ(SelectPpd(PpdOptions{}, 5000, 3, occupancies), 2u);
+}
+
+TEST(SelectPpdTest, CostRulePrefersFinerGridsForLargerCells) {
+  // Same dimensionality, 10x the tuples and a fully occupied series: the
+  // expected window grows with the tuples per cell, so the selected grid
+  // can only get finer.
+  const std::vector<PpdOccupancy> full = {
+      {2, 16}, {3, 81}, {4, 256}, {5, 625}, {6, 1296}, {7, 2401}};
+  const PpdOptions options;
+  EXPECT_LE(SelectPpd(options, 20000, 4, full),
+            SelectPpd(options, 200000, 4, full));
 }
 
 TEST(CandidatePpdsTest, Equation4Consistency) {

@@ -96,6 +96,7 @@ TEST(RunnerTest, ExplicitPpdHonored) {
   auto result = ComputeSkyline(data, options, Spec(Algorithm::kMrGpsrs));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->ppd, 6u);
+  EXPECT_EQ(result->ppd_rule, "explicit");
 }
 
 TEST(RunnerTest, HybridResolvesAlgorithm) {

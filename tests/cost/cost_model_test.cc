@@ -120,5 +120,47 @@ TEST(CostModelTest, LargeValuesFinite) {
   EXPECT_GT(v, 0.0);
 }
 
+TEST(ExpectedMaximaTest, MatchesTheLiteralRecurrence) {
+  // Newton's identities plus Euler-Maclaurin tails against the O(n d)
+  // recurrence, across the direct-sum boundary (n = 64).
+  for (const uint64_t n : {1u, 2u, 3u, 10u, 63u, 64u, 65u, 100u, 1000u,
+                           20000u}) {
+    for (size_t d = 1; d <= 10; ++d) {
+      const double literal = ExpectedMaximaLiteral(n, d);
+      EXPECT_NEAR(ExpectedMaxima(static_cast<double>(n), d), literal,
+                  1e-9 * literal)
+          << "n=" << n << " d=" << d;
+    }
+  }
+}
+
+TEST(ExpectedMaximaTest, KnownValues) {
+  // One point is its own skyline; in 1-d only the minimum survives; in
+  // 2-d the expected skyline is the harmonic number H_n.
+  EXPECT_DOUBLE_EQ(ExpectedMaxima(1.0, 6), 1.0);
+  EXPECT_DOUBLE_EQ(ExpectedMaxima(500.0, 1), 1.0);
+  EXPECT_NEAR(ExpectedMaxima(4.0, 2), 1.0 + 0.5 + 1.0 / 3.0 + 0.25, 1e-12);
+  // H(2, d) = 2 - 2^-(d-1): the second point is a maximum unless the
+  // first dominates it.
+  EXPECT_NEAR(ExpectedMaxima(2.0, 4), 2.0 - 0.125, 1e-12);
+}
+
+TEST(ExpectedMaximaTest, RoundsAndClamps) {
+  EXPECT_DOUBLE_EQ(ExpectedMaxima(0.0, 5), 1.0);
+  EXPECT_DOUBLE_EQ(ExpectedMaxima(0.3, 5), 1.0);
+  EXPECT_DOUBLE_EQ(ExpectedMaxima(9.6, 5), ExpectedMaxima(10.0, 5));
+  // Never more maxima than points, and monotone in both n and d.
+  for (size_t d = 2; d <= 12; ++d) {
+    double previous = 0.0;
+    for (const double n : {1.0, 2.0, 5.0, 50.0, 500.0, 5e4, 5e6}) {
+      const double h = ExpectedMaxima(n, d);
+      EXPECT_LE(h, n);
+      EXPECT_GE(h, previous);
+      EXPECT_GE(h, ExpectedMaxima(n, d - 1));
+      previous = h;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace skymr::cost

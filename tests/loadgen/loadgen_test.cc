@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/obs/doctor.h"
@@ -325,8 +327,10 @@ TEST(LoadArtifactTest, ServeArtifactCarriesSessionCounters) {
 // dump on disk, and the dump must contain the failing query's events,
 // findable by its query id.
 TEST(FlightRecorderPostMortemTest, ChaosCrashDumpNamesFailingQuery) {
-  const std::string dump_path =
-      testing::TempDir() + "/loadgen_flight_dump.jsonl";
+  // One path per process: concurrent runs of this binary share TempDir(),
+  // and one run's std::remove must not delete another's dump.
+  const std::string dump_path = testing::TempDir() + "/loadgen_flight_dump." +
+                                std::to_string(getpid()) + ".jsonl";
   std::remove(dump_path.c_str());
 
   obs::MetricsRegistry metrics;

@@ -114,6 +114,27 @@ TEST(DoctorTest, FlagsCoarsePpd) {
   EXPECT_TRUE(HasCode(findings, "ppd-coarse"));
 }
 
+TEST(DoctorTest, CostRuleGridIsNotCoarse) {
+  // indep6 at the cost rule's PPD 3: 300k tuples over 729 cells is ~411
+  // tuples per partition, far above coarse_tpp, and n_m = 8. The rule
+  // chose that grid on purpose, so ppd-coarse stays silent.
+  const std::string json = Report(
+      R"("dim": 6, "input_tuples": 300000, "ppd": 3, "ppd_rule": "cost",
+         "nonempty_partitions": 729, "pruned_partitions": 64)");
+  const auto findings = Analyze(json);
+  EXPECT_FALSE(HasCode(findings, "ppd-coarse")) << RenderFindings(findings);
+}
+
+TEST(DoctorTest, ExplicitAndPaperRuleGridsKeepTheCoarseCheck) {
+  for (const char* rule : {"explicit", "paper-literal"}) {
+    const std::string json = Report(
+        std::string(R"("dim": 6, "input_tuples": 300000, "ppd": 3,
+                       "ppd_rule": ")") +
+        rule + R"(", "nonempty_partitions": 729, "pruned_partitions": 64)");
+    EXPECT_TRUE(HasCode(Analyze(json), "ppd-coarse")) << rule;
+  }
+}
+
 TEST(DoctorTest, FlagsPpdSkew) {
   // A fine grid (ppd=40, d=3 -> 64000 cells) over 100k tuples should
   // leave ~1.3 tuples per non-empty partition under uniformity; 50

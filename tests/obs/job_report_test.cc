@@ -53,7 +53,9 @@ TEST(JobReportTest, ReportIsValidJsonWithSchemaAndCostModel) {
   EXPECT_NE(json.find("\"mr.map_task_busy_us\""), std::string::npos);
   EXPECT_NE(json.find("\"mr.shuffle_bucket_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"skymr.reducer_group_cells\""), std::string::npos);
-  // A grid run carries the Section 6 cost-model comparison.
+  // A grid run says how its grid was chosen (the default cost rule)...
+  EXPECT_NE(json.find("\"ppd_rule\": \"cost\""), std::string::npos) << json;
+  // ...and carries the Section 6 cost-model comparison.
   EXPECT_NE(json.find("\"cost_model\""), std::string::npos);
   EXPECT_NE(json.find("\"predicted_mapper_comparisons\""), std::string::npos);
   EXPECT_NE(json.find("\"observed_max_reducer_comparisons\""),

@@ -280,6 +280,37 @@ TEST(SessionTest, FingerprintMissesWhenDatasetOrBoundsChange) {
   }
 }
 
+TEST(SessionTest, FingerprintMissesWhenThePpdRuleChanges) {
+  // A phase checkpointed under the paper's rule must not serve the cost
+  // rule (the default): the two can select different grids.
+  const Dataset data = MakeData(1200, 3, 77);
+  core::PipelineCheckpoint checkpoint;
+  SessionOptions paper = BaseOptions();
+  paper.checkpoint = &checkpoint;
+  paper.ppd.strategy = core::PpdStrategy::kPaperLiteral;
+  QuerySpec spec;
+  spec.algorithm = Algorithm::kMrGpsrs;
+  {
+    auto session = Session::Open(data, paper);
+    ASSERT_TRUE(session.ok()) << session.status();
+    auto result = (*session)->Submit(spec);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->ppd_rule, "paper-literal");
+    EXPECT_EQ(checkpoint.size(), 1u);
+  }
+  SessionOptions cost = paper;
+  cost.ppd.strategy = SessionOptions{}.ppd.strategy;
+  ASSERT_EQ(cost.ppd.strategy, core::PpdStrategy::kCost);
+  auto session = Session::Open(data, cost);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto result = (*session)->Submit(spec);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->resumed_from_checkpoint);
+  EXPECT_EQ(result->ppd_rule, "cost");
+  EXPECT_EQ(checkpoint.size(), 2u);
+  EXPECT_EQ(ExplainSkylineMismatch(data, result->SkylineIds()), "");
+}
+
 // ---------------------------------------------------------------------
 // Concurrency: single-flight cache and admission bounds
 // ---------------------------------------------------------------------
@@ -403,6 +434,10 @@ TEST(SessionTest, OpenRejectsInvalidOptions) {
   no_large_slot.admission_slots = 2;
   no_large_slot.small_reserved_slots = 2;
   EXPECT_FALSE(Session::Open(data, no_large_slot).ok());
+
+  SessionOptions bad_strategy = BaseOptions();
+  bad_strategy.ppd.strategy = static_cast<core::PpdStrategy>(7);
+  EXPECT_FALSE(Session::Open(data, bad_strategy).ok());
 
   ThreadPool pool(2);
   SessionOptions contradicting_pool = BaseOptions();

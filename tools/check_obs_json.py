@@ -143,6 +143,9 @@ def check_report(path):
     if "critical_path" in doc:
         check_critical_path(f"{path}: critical_path", doc["critical_path"])
     if doc.get("ppd", 0) > 0:
+        if doc.get("ppd_rule") not in ("explicit", "cost", "paper-literal"):
+            fail(f"{path}: grid run with ppd_rule {doc.get('ppd_rule')!r}; "
+                 "expected explicit, cost or paper-literal")
         cm = doc.get("cost_model")
         if cm is None:
             fail(f"{path}: grid run (ppd > 0) without cost_model")
